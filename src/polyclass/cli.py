@@ -213,11 +213,11 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
                            oracle_check: bool) -> Tuple[Report, int]:
     cls = cubic_mod.classify_cubic(cu, tol)
     roots = cubic_mod.viete_roots(cu, tol)
-    margins = [tol.margin_terms((cu.a * cu.a, -3 * cu.b))]
+    margins = [tol.compare_terms((cu.a * cu.a, -3 * cu.b))[2]]
     if cls.thresholds is not None:
-        margins.append(tol.margin_terms(cubic_discriminant_terms(cu)))
+        margins.append(tol.compare_terms(cubic_discriminant_terms(cu))[2])
     else:
-        margins.append(tol.margin_terms((27 * cu.c, -cu.a ** 3)))
+        margins.append(tol.compare_terms((27 * cu.c, -cu.a ** 3))[2])
     fragile = any(abs(m) < 10 for m in margins)
     theta = None
     isolation = None
@@ -662,7 +662,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     want_json = bool(opts.get("json"))
     try:
         report, code = handler(opts)
-    except (CliError, PolyclassError, ValueError) as exc:
+    except (CliError, PolyclassError, ValueError, ArithmeticError) as exc:
         report = error_report(command, exc)
         if want_json:
             print(report.to_json())

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -23,6 +23,8 @@ DEFAULT_EPS = 1e-9
 
 def is_exact(value) -> bool:
     """True for values that support exact sign tests (int/Fraction)."""
+    if type(value) is float:  # the common case; skips the ABC check
+        return False
     return isinstance(value, Rational)
 
 
@@ -63,13 +65,18 @@ def parse_number(text: str, exact: bool) -> Number:
     return float(text)
 
 
+_OVERFLOW = ("coefficient magnitudes overflow the threshold expression; "
+             "rescale the polynomial or use exact (Fraction) coefficients")
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Relative sign-test tolerance.
 
     ``sign_terms`` sums a list of monomial terms and compares the total
     against ``eps`` times the largest term magnitude.  Exact (rational)
-    terms short-circuit to an exact comparison.
+    terms short-circuit to an exact comparison.  ``compare_terms`` makes
+    the same test and also returns the value, margin and fragile flag.
     """
 
     eps: float = DEFAULT_EPS
@@ -81,11 +88,28 @@ class Tolerance:
         value = float(value)
         scale = max((abs(float(t)) for t in terms), default=0.0)
         if not math.isfinite(value) or not math.isfinite(scale):
-            raise OverflowError(
-                "coefficient magnitudes overflow the threshold expression; "
-                "rescale the polynomial or use exact (Fraction) coefficients"
-            )
+            raise OverflowError(_OVERFLOW)
         return self.sign(value, scale)
+
+    def compare_terms(self, terms: Sequence[Number]) -> Tuple[int, float, float, bool]:
+        """One comparison from a single sum: (sign, value, margin, fragile).
+
+        ``value`` is the sum as a float and ``margin`` its signed distance
+        from zero in tolerance units (1.0 == eps * scale).  An exact sum is
+        fragile only when it is zero; a float sum when |margin| < 10.  Unlike
+        ``sign_terms``, exact terms are converted to float as well, so
+        Fractions beyond the float range raise OverflowError here.
+        """
+        total = sum(terms)
+        value = float(total)
+        scale = max((abs(float(t)) for t in terms), default=0.0)
+        margin = self.margin(value, scale)
+        if is_exact(total):
+            s = (total > 0) - (total < 0)
+            return s, value, margin, s == 0
+        if not math.isfinite(value) or not math.isfinite(scale):
+            raise OverflowError(_OVERFLOW)
+        return self.sign(value, scale), value, margin, abs(margin) < 10.0
 
     def sign(self, value: Number, scale: float) -> int:
         if is_exact(value):
@@ -94,12 +118,6 @@ class Tolerance:
         if abs(v) <= self.eps * scale:
             return 0
         return 1 if v > 0 else -1
-
-    def margin_terms(self, terms: Sequence[Number]) -> float:
-        """Signed distance from zero in tolerance units (1.0 == eps * scale)."""
-        value = float(sum(terms))
-        scale = max((abs(float(t)) for t in terms), default=0.0)
-        return self.margin(value, scale)
 
     def margin(self, value: Number, scale: float) -> float:
         v = float(value)

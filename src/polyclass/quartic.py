@@ -273,25 +273,23 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     comparisons: List[Comparison] = []
 
     def record(name: str, terms) -> int:
-        total = sum(terms)
-        s = tol.sign_terms(terms)
-        margin = tol.margin_terms(terms)
-        fragile = (s == 0) if is_exact(total) else abs(margin) < 10.0
-        comparisons.append(Comparison(name, float(total), margin, fragile))
+        s, value, margin, fragile = tol.compare_terms(terms)
+        comparisons.append(Comparison(name, value, margin, fragile))
         return s
 
     a = q.a
     # sign of b - 3a^2/8 (x8): >0 means b above the threshold
     s_b_rel = record("b_vs_3a2_over_8", (8 * q.b, -3 * a * a))
     s_c0 = record("c_vs_C0", _c0_terms(q))
-    A, B, C = _abc(q)
 
+    # the d-cubic coefficients A, B, C are built only in the branches that read them
     case: ClassificationCase
     if s_b_rel > 0:  # b > 3a^2/8
         if s_c0 != 0:
             s_D = record("d_vs_d0_via_disc", quartic_discriminant_terms(q))
             case = _pick(s_D, "i", "ii", "iii")
         else:
+            A, B, C = _abc(q)
             s_dt = record("d_vs_d_tilde", _d_vs_tilde_terms(A, B, C, _lift(q.d)))
             case = _pick(s_dt, "iv", "v", "vi")
     elif s_b_rel == 0:  # b = 3a^2/8
@@ -304,6 +302,7 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     else:  # b < 3a^2/8
         if s_c0 == 0:  # c = C0: symmetric stationary configuration
             record("c_band", _band_quadratic_terms(q))
+            A, B, C = _abc(q)
             d = _lift(q.d)
             s_dd = record("d_vs_d_dagger", _d_vs_dagger_terms(A, B, C, d))
             if s_dd > 0:
@@ -316,6 +315,7 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
         else:
             s_band = record("c_band", _band_quadratic_terms(q))
             if s_band == 0:  # c = C1 or c = C2
+                A, B, C = _abc(q)
                 d = _lift(q.d)
                 s_dt = record("d_vs_d_tilde", _d_vs_tilde_terms(A, B, C, d))
                 if s_dt > 0:

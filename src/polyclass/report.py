@@ -12,20 +12,56 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 
 SCHEMA = "polyclass.report.v1"
 
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
 
 
-def _encode(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+#: float.__repr__ spellings that JSON writes the way Python's json module does
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dump(obj, nl: str) -> str:
+    """JSON text of ``obj``; ``nl`` is a newline plus the current indentation.
+
+    Byte for byte what ``json.dumps(obj, indent=2)`` writes after Fractions
+    become "p/q" strings and tuples become lists: insertion key order,
+    ASCII escapes, NaN/Infinity spelled as the json module spells them.
+    Dict keys must be strings.
+    """
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(_ascii(key) + ": " + _dump(value, inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, Fraction):
+        return f'"{obj.numerator}/{obj.denominator}"'
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _decode(obj):
@@ -44,8 +80,8 @@ class Report:
 
     data: dict
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(_encode(self.data), indent=indent)
+    def to_json(self) -> str:
+        return _dump(self.data, "\n")
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

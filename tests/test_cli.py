@@ -79,6 +79,18 @@ class TestClassifyCommand:
         assert data["oracle"]["multiplicities_agree"] is True
         assert data["classification"]["case"] == "xvii"
 
+    def test_overflow_is_an_error_report(self, capsys):
+        code, out, _ = run(capsys, "classify", "--quartic", "1e90", "1e180", "1e270",
+                           "1e300", "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+
+    def test_cubic_overflow_is_an_error_report(self, capsys):
+        # 27c overflows: the margin of the c-vs-a^3/27 comparison is not finite
+        code, out, _ = run(capsys, "classify", "--cubic", "0", "1", "1e307", "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.9288",
                            "--tol", "1e-6", "--json")
