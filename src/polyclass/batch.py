@@ -1,18 +1,32 @@
-"""Vectorized quartic nature classification and root finding.
+"""Vectorized quartic classification and root finding.
 
-Mirrors the scalar cascade in :mod:`polyclass.quartic` and the Aberth
-iteration in :mod:`polyclass.oracle` on numpy arrays, for million-sample
-agreement sweeps.  Callers chunk the inputs; everything here is allocation
-bound, so chunks around 10^5 keep the working set in cache.
+``classify_case_batch`` evaluates the nine sign predicates of
+:mod:`polyclass.quartic` on float64 arrays, through the very term functions
+the scalar classifier sums, and looks each sample's sign vector up in a
+table built by walking the scalar decision tree once.  Case, nature and
+minimum margin therefore equal the scalar verdict bit for bit.  The Aberth
+helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
+Callers chunk the inputs; everything here is allocation bound, so chunks
+around 10^5 keep the working set in cache.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .quartic import Nature
+from .quartic import (
+    _CASE_TO_NATURE,
+    _ON_COEFFS,
+    _ON_D_CUBIC,
+    ClassificationCase,
+    Nature,
+    _cascade,
+    _d_cubic,
+)
 
 NATURE_BY_CODE: Tuple[Nature, ...] = (
     Nature.NO_REAL,
@@ -25,160 +39,121 @@ NATURE_BY_CODE: Tuple[Nature, ...] = (
     Nature.QUADRUPLE_ROOT,
 )
 CODE_BY_NATURE = {n: i for i, n in enumerate(NATURE_BY_CODE)}
+#: case index (as returned by classify_case_batch) -> case
+CASE_BY_INDEX: Tuple[ClassificationCase, ...] = tuple(ClassificationCase)
 
 #: real-root count implied by each nature code
 REAL_COUNT_BY_CODE = np.array([0, 2, 2, 4, 4, 4, 4, 4], dtype=np.int8)
 #: 1 where the nature implies a repeated real root
 REPEATED_BY_CODE = np.array([0, 1, 0, 0, 1, 1, 1, 1], dtype=np.int8)
+#: nature code of each case index
+NATURE_CODE_BY_CASE = np.array(
+    [CODE_BY_NATURE[_CASE_TO_NATURE[case][0]] for case in CASE_BY_INDEX], dtype=np.int8)
+
+#: the nine predicates in key order: one term function each
+_PREDICATES = (*dict.fromkeys(_ON_COEFFS.values()), *_ON_D_CUBIC.values())
+#: comparison name -> predicate index (both discriminant names read one predicate)
+_INDEX = {name: _PREDICATES.index(fn) for name, fn in {**_ON_COEFFS, **_ON_D_CUBIC}.items()}
+_N = len(_PREDICATES)
 
 
-def _signed(value: np.ndarray, scale: np.ndarray, eps: float):
-    sign = np.sign(value).astype(np.int8)
-    sign[np.abs(value) <= eps * scale] = 0
-    return sign
+_Coeffs = namedtuple("_Coeffs", "a b c d")
 
 
-def _margin(value: np.ndarray, scale: np.ndarray, eps: float) -> np.ndarray:
-    denom = eps * scale
-    out = np.full(value.shape, np.inf)
-    np.divide(np.abs(value), denom, out=out, where=denom > 0)
-    out[(denom == 0) & (value == 0)] = 0.0
+def _leaves():
+    """Every root-to-leaf path of the cascade: ({predicate index: sign}, case)."""
+    out, todo = [], [{}]
+    while todo:
+        fixed = todo.pop()
+        try:
+            out.append((fixed, _cascade(lambda name: fixed[_INDEX[name]])))
+        except KeyError as unfixed:  # the path asks a predicate not fixed yet
+            todo.extend({**fixed, unfixed.args[0]: s} for s in (-1, 0, 1))
     return out
 
 
-def _terms(*arrays) -> Tuple[np.ndarray, np.ndarray]:
-    value = arrays[0].copy()
-    scale = np.abs(arrays[0])
-    for t in arrays[1:]:
+@lru_cache(maxsize=None)
+def _tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Case index and consulted-predicate bitmask for each of the 3^9 sign keys.
+
+    Digit p of a key (weight 3^(8-p)) is 1 + the sign of predicate p; bit p
+    of the mask is set when the sample's path consults predicate p.
+    """
+    case_of = np.full((3,) * _N, -1, dtype=np.int8)
+    consulted = np.zeros((3,) * _N, dtype=np.int16)
+    for fixed, case in _leaves():
+        at = tuple(fixed[p] + 1 if p in fixed else slice(None) for p in range(_N))
+        case_of[at] = CASE_BY_INDEX.index(case)
+        consulted[at] = sum(1 << p for p in fixed)
+    return case_of.ravel(), consulted.ravel()
+
+
+def _sign_digit_and_margin(terms, eps: float):
+    """1 + sign and |margin| (tolerance units) of one predicate, as the scalar test.
+
+    A sum that overflowed (or a NaN input) reads as an exact zero: sign 0
+    and margin 0, so the sample lands inside the fragile shell.
+    """
+    value = terms[0].copy()
+    scale = np.abs(terms[0])
+    for t in terms[1:]:
         value += t
         np.maximum(scale, np.abs(t), out=scale)
-    return value, scale
+    overflow = ~np.isfinite(value)  # a non-finite term makes the sum non-finite
+    value[overflow] = 0.0
+    scale[overflow] = 0.0
+    denom = eps * scale
+    margin = np.abs(value) / denom
+    margin[value == 0.0] = 0.0
+    digit = (value >= -denom).astype(np.intp)
+    digit += value > denom
+    return digit, margin
+
+
+def _classify(a, b, c, d, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    case_of, consulted = _tables()
+    q = _Coeffs(*(np.asarray(x, dtype=np.float64) for x in (a, b, c, d)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cubic = (*_d_cubic(q.a, q.b, q.c), q.d)
+        key = np.zeros(q.a.shape, dtype=np.intp)
+        margins = []
+        for fn in _PREDICATES:
+            terms = fn(*cubic) if fn in _ON_D_CUBIC.values() else fn(q)
+            digit, margin = _sign_digit_and_margin(terms, eps)
+            key *= 3
+            key += digit
+            margins.append(margin)
+    mask = consulted[key]
+    min_margin = np.full(key.shape, np.inf)
+    for p, margin in enumerate(margins):
+        np.minimum(min_margin, margin, out=min_margin,
+                   where=(mask & (1 << p)) != 0)
+    return case_of[key], min_margin
+
+
+def classify_case_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                        d: np.ndarray, eps: float = 1e-9
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Case indices (into CASE_BY_INDEX) plus the smallest decision margin.
+
+    The margin, in tolerance units, is the minimum of |margin| over the
+    comparisons the scalar cascade consults on the sample's path; samples
+    below 10 are boundary-fragile.  A comparison that overflows float64
+    counts as zero with margin 0.
+    """
+    return _classify(a, b, c, d, eps)
 
 
 def classify_nature_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                           d: np.ndarray, eps: float = 1e-9
                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Nature codes plus the smallest decision margin (in tolerance units).
+    """Nature codes (into NATURE_BY_CODE) plus the smallest decision margin.
 
-    The margin is the minimum over the sign tests consulted on the sample's
-    decision path; samples below 10 are boundary-fragile.
+    The same verdict as classify_case_batch, with each case mapped to its
+    nature.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-
-    a2, b2, c2 = a * a, b * b, c * c
-    a3, b3, c3 = a2 * a, b2 * b, c2 * c
-    a4, b4, c4 = a3 * a, b3 * b, c3 * c
-
-    v_b, s_b = _terms(8 * b, -3 * a2)
-    v_c0, s_c0 = _terms(8 * c, a3, -4 * a * b)
-    v_band, s_band = _terms(108 * c2, 27 * a3 * c, -108 * a * b * c,
-                            -9 * a2 * b2, 32 * b3)
-    v_D, s_D = _terms(
-        256 * d ** 3,
-        -27 * a4 * d * d, 144 * a2 * b * d * d, -192 * a * c * d * d,
-        -128 * b2 * d * d,
-        18 * a3 * b * c * d, -4 * a2 * b3 * d, -6 * a2 * c2 * d,
-        -80 * a * b2 * c * d, 16 * b4 * d, 144 * b * c2 * d,
-        -4 * a3 * c3, a2 * b2 * c2, 18 * a * b * c3, -4 * b3 * c2, -27 * c4,
-    )
-    v_D1, s_D1 = _terms(
-        768 * d * d,
-        -54 * a4 * d, 288 * a2 * b * d, -384 * a * c * d, -256 * b2 * d,
-        18 * a3 * b * c, -4 * a2 * b3, -6 * a2 * c2, -80 * a * b2 * c,
-        16 * b4, 144 * b * c2,
-    )
-    v_D2, s_D2 = _terms(1536 * d, -54 * a4, 288 * a2 * b, -384 * a * c, -256 * b2)
-
-    A = (-27 * a4 / 128 + 9 * a2 * b / 8 - 3 * a * c / 2 - b2) / 2
-    B = (9 * a3 * b * c / 8 - a2 * b3 / 4 - 3 * a2 * c2 / 8
-         - 5 * a * b2 * c + b4 + 9 * b * c2) / 16
-    C = (-a3 * c3 + a2 * b2 * c2 / 4 + 9 * a * b * c3 / 2
-         - b3 * c2 - 27 * c4 / 4) / 64
-    v_dt, s_dt = _terms(A * A * d, -3 * B * d, A ** 3, -4 * A * B, 9 * C)
-    v_dd, s_dd = _terms(2 * A * A * d, -6 * B * d, -9 * C, A * B)
-    v_d0, s_d0 = _terms(256 * d, -a4)
-
-    sg_b = _signed(v_b, s_b, eps)       # sign of b - 3a^2/8
-    sg_c0 = _signed(v_c0, s_c0, eps)
-    sg_band = _signed(v_band, s_band, eps)
-    sg_D = _signed(v_D, s_D, eps)
-    sg_D1 = _signed(v_D1, s_D1, eps)
-    sg_D2 = _signed(v_D2, s_D2, eps)
-    sg_dt = _signed(v_dt, s_dt, eps)
-    sg_dd = _signed(v_dd, s_dd, eps)
-    sg_d0 = _signed(v_d0, s_d0, eps)
-
-    nature = np.empty(a.shape, dtype=np.int8)
-
-    def by_sign(sign, above, equal, below):
-        return np.where(sign > 0, above, np.where(sign == 0, equal, below)).astype(np.int8)
-
-    not_c0 = sg_c0 != 0
-    # b >= 3a^2/8, plus the non-band branch below it, all have one d-root
-    single_root = by_sign(sg_D, 0, 1, 2)
-
-    m_above_eq = sg_b >= 0
-    nature[m_above_eq] = single_root[m_above_eq]
-    m = (sg_b > 0) & ~not_c0
-    nature[m] = by_sign(sg_dt, 0, 1, 2)[m]
-    m = (sg_b == 0) & ~not_c0
-    nature[m] = by_sign(sg_d0, 0, 7, 2)[m]
-
-    m_below = sg_b < 0
-    m = m_below & ~not_c0  # c = C0
-    sub = by_sign(sg_dd, 0, 5, 2)
-    inner = by_sign(sg_dt, 3, 4, 2)
-    sub = np.where(sg_dd < 0, inner, sub).astype(np.int8)
-    nature[m] = sub[m]
-
-    m = m_below & not_c0 & (sg_band == 0)  # c on a band edge
-    sub = by_sign(sg_dt, 0, 1, 2)
-    inner = by_sign(sg_dd, 2, 6, 2)
-    sub = np.where(sg_dt < 0, inner, sub).astype(np.int8)
-    nature[m] = sub[m]
-
-    m = m_below & not_c0 & (sg_band < 0)  # three d-roots
-    outer_ok = (sg_D1 > 0) & (sg_D2 > 0)
-    sub = np.where(sg_D > 0, np.where(outer_ok, 0, 3),
-                   np.where(sg_D == 0, np.where(outer_ok, 1, 4), 2)).astype(np.int8)
-    nature[m] = sub[m]
-
-    m = m_below & not_c0 & (sg_band > 0)  # outside the band
-    nature[m] = single_root[m]
-
-    # decision-path minimum margin
-    mg = {
-        "b": _margin(v_b, s_b, eps),
-        "c0": _margin(v_c0, s_c0, eps),
-        "band": _margin(v_band, s_band, eps),
-        "D": _margin(v_D, s_D, eps),
-        "D1": _margin(v_D1, s_D1, eps),
-        "D2": _margin(v_D2, s_D2, eps),
-        "dt": _margin(v_dt, s_dt, eps),
-        "dd": _margin(v_dd, s_dd, eps),
-        "d0": _margin(v_d0, s_d0, eps),
-    }
-    min_margin = np.minimum(mg["b"], mg["c0"])
-    use_band = m_below
-    min_margin = np.where(use_band, np.minimum(min_margin, mg["band"]), min_margin)
-    use_D = (sg_b >= 0) & not_c0
-    use_D |= m_below & not_c0 & (sg_band != 0)
-    min_margin = np.where(use_D, np.minimum(min_margin, mg["D"]), min_margin)
-    use_D12 = m_below & not_c0 & (sg_band < 0)
-    min_margin = np.where(use_D12,
-                          np.minimum(min_margin, np.minimum(mg["D1"], mg["D2"])),
-                          min_margin)
-    use_dt = ((sg_b > 0) & ~not_c0) | (m_below & ~not_c0) \
-        | (m_below & not_c0 & (sg_band == 0))
-    min_margin = np.where(use_dt, np.minimum(min_margin, mg["dt"]), min_margin)
-    use_dd = m_below & (~not_c0 | (not_c0 & (sg_band == 0)))
-    min_margin = np.where(use_dd, np.minimum(min_margin, mg["dd"]), min_margin)
-    use_d0 = (sg_b == 0) & ~not_c0
-    min_margin = np.where(use_d0, np.minimum(min_margin, mg["d0"]), min_margin)
-    return nature, min_margin
+    case, min_margin = _classify(a, b, c, d, eps)
+    return NATURE_CODE_BY_CASE[case], min_margin
 
 
 def aberth_roots_batch(trailing: np.ndarray, max_iter: int = 120,

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
-from .numeric import DEFAULT_TOL, Tolerance
+from .numeric import _OVERFLOW, DEFAULT_TOL, Tolerance
 from .poly import Cubic, RootSet, cubic_discriminant_terms, root_set_from_values
 
 SQRT3 = math.sqrt(3.0)
@@ -164,8 +164,13 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
 
 
 def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
-    """RootSet via the trigonometric formulas (all cases, complex-safe)."""
+    """RootSet via the trigonometric formulas (all cases, complex-safe).
+
+    Raises OverflowError when the formulas overflow to a non-finite root.
+    """
     kind, payload = viete_values(cu, tol)
+    if not all(math.isfinite(v) for v in (payload if kind == "three" else (payload,))):
+        raise OverflowError(_OVERFLOW)
     cu_f = cu.as_float()
     if kind == "triple":
         return RootSet(((payload, 3),), 0, (abs(cu_f(payload)),), 3)

@@ -15,7 +15,7 @@ from typing import Tuple
 from .errors import NoTetrahedron, NotFourReal
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Quartic
-from .quartic import Nature, QuarticClassification
+from .quartic import Nature, QuarticClassification, _c0_terms
 
 SQRT3 = math.sqrt(3.0)
 
@@ -128,7 +128,7 @@ def localize_roots(q: Quartic, cls: QuarticClassification,
     if cls.nature is Nature.QUADRUPLE_ROOT:
         raise NoTetrahedron("quadruple root: the tetrahedron degenerates to a point")
     t = tetrahedron_data(float(q.a), float(q.b))
-    s_c0 = tol.sign_terms((8 * q.c, q.a ** 3, -4 * q.a * q.b))
+    s_c0 = tol.sign_terms(_c0_terms(q))
     tie = s_c0 == 0
     if s_c0 <= 0:
         intervals = (

@@ -226,25 +226,35 @@ def discriminant_cubic(cu: Cubic) -> Number:
     return sum(cubic_discriminant_terms(cu))
 
 
+def _powers(a, b, c):
+    """Powers 2 to 4 of a, b, c as products: float and ndarray round alike, and
+    numpy's ``**`` would call ``pow`` per element."""
+    a2, b2, c2 = a * a, b * b, c * c
+    a3, b3, c3 = a2 * a, b2 * b, c2 * c
+    return a2, b2, c2, a3, b3, c3, a3 * a, b3 * b, c3 * c
+
+
 def quartic_discriminant_terms(q: Quartic) -> Tuple:
+    """Monomials of the quartic discriminant; ``q`` may hold ndarray coefficients."""
     a, b, c, d = q.a, q.b, q.c, q.d
+    a2, b2, c2, a3, b3, c3, a4, b4, c4 = _powers(a, b, c)
     return (
-        256 * d ** 3,
-        -27 * a ** 4 * d * d,
-        144 * a * a * b * d * d,
+        256 * d * d * d,
+        -27 * a4 * d * d,
+        144 * a2 * b * d * d,
         -192 * a * c * d * d,
-        -128 * b * b * d * d,
-        18 * a ** 3 * b * c * d,
-        -4 * a * a * b ** 3 * d,
-        -6 * a * a * c * c * d,
-        -80 * a * b * b * c * d,
-        16 * b ** 4 * d,
-        144 * b * c * c * d,
-        -4 * a ** 3 * c ** 3,
-        a * a * b * b * c * c,
-        18 * a * b * c ** 3,
-        -4 * b ** 3 * c * c,
-        -27 * c ** 4,
+        -128 * b2 * d * d,
+        18 * a3 * b * c * d,
+        -4 * a2 * b3 * d,
+        -6 * a2 * c2 * d,
+        -80 * a * b2 * c * d,
+        16 * b4 * d,
+        144 * b * c2 * d,
+        -4 * a3 * c3,
+        a2 * b2 * c2,
+        18 * a * b * c3,
+        -4 * b3 * c2,
+        -27 * c4,
     )
 
 
@@ -261,30 +271,32 @@ def quartic_disc_scale(q: Quartic) -> float:
 def quartic_disc_d_derivative_terms(q: Quartic) -> Tuple:
     """Terms of d(Delta)/dd, the discriminant derivative along the free term."""
     a, b, c, d = q.a, q.b, q.c, q.d
+    a2, b2, c2, a3, b3, _, a4, b4, _ = _powers(a, b, c)
     return (
         768 * d * d,
-        -54 * a ** 4 * d,
-        288 * a * a * b * d,
+        -54 * a4 * d,
+        288 * a2 * b * d,
         -384 * a * c * d,
-        -256 * b * b * d,
-        18 * a ** 3 * b * c,
-        -4 * a * a * b ** 3,
-        -6 * a * a * c * c,
-        -80 * a * b * b * c,
-        16 * b ** 4,
-        144 * b * c * c,
+        -256 * b2 * d,
+        18 * a3 * b * c,
+        -4 * a2 * b3,
+        -6 * a2 * c2,
+        -80 * a * b2 * c,
+        16 * b4,
+        144 * b * c2,
     )
 
 
 def quartic_disc_d_second_terms(q: Quartic) -> Tuple:
     """Terms of d^2(Delta)/dd^2."""
     a, b, c, d = q.a, q.b, q.c, q.d
+    a2, b2, _, _, _, _, a4, _, _ = _powers(a, b, c)
     return (
         1536 * d,
-        -54 * a ** 4,
-        288 * a * a * b,
+        -54 * a4,
+        288 * a2 * b,
         -384 * a * c,
-        -256 * b * b,
+        -256 * b2,
     )
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .cubic import viete_values
-from .numeric import DEFAULT_TOL, Number, Tolerance, is_exact
+from .numeric import DEFAULT_TOL, Number, Tolerance
 from .poly import (
     Cubic,
     Quartic,
     RootSet,
+    _lift,
+    _powers,
     quartic_disc_d_derivative_terms,
     quartic_disc_d_second_terms,
     quartic_discriminant_terms,
@@ -124,30 +125,86 @@ class BoundaryAudit:
         return tuple(c.name for c in self.comparisons if c.fragile)
 
 
-def _lift(v):
-    return Fraction(v) if is_exact(v) else float(v)
+# --- the nine sign predicates: terms whose sum has the sign of one comparison ---------
+# ``q`` is a Quartic or, in the batch classifier, a tuple of float64 arrays.  Only
+# + - * appear, so float and numpy round alike and Fraction or int input stays exact.
+
+def _b_terms(q):
+    # 8 (b - 3a^2/8)
+    a = q.a
+    return (8 * q.b, -3 * (a * a))
 
 
-def _abc(q: Quartic):
-    """Coefficients (A, B, C) of the monic cubic in d equal to disc/256."""
-    a, b, c = _lift(q.a), _lift(q.b), _lift(q.c)
-    A = (-27 * a ** 4 / 128 + 9 * a * a * b / 8 - 3 * a * c / 2 - b * b) / 2
-    B = (9 * a ** 3 * b * c / 8 - a * a * b ** 3 / 4 - 3 * a * a * c * c / 8
-         - 5 * a * b * b * c + b ** 4 + 9 * b * c * c) / 16
-    C = (-a ** 3 * c ** 3 + a * a * b * b * c * c / 4 + 9 * a * b * c ** 3 / 2
-         - b ** 3 * c * c - 27 * c ** 4 / 4) / 64
+def _c0_terms(q):
+    # 8 (c - C0), C0 = -a^3/8 + ab/2
+    a = q.a
+    return (8 * q.c, a * a * a, -4 * a * q.b)
+
+
+def _band_terms(q):
+    # 27 [4c^2 + a(a^2-4b)c - (b^2/3)(a^2 - 32b/9)] = 108 (c-C1)(c-C2)
+    a, b, c = q.a, q.b, q.c
+    a2, b2 = a * a, b * b
+    return (108 * (c * c), 27 * (a2 * a) * c, -108 * a * b * c, -9 * a2 * b2, 32 * (b2 * b))
+
+
+# the discriminant family lives in poly; these look its functions up per call
+def _disc_terms(q):
+    return quartic_discriminant_terms(q)
+
+
+def _disc_slope_terms(q):
+    return quartic_disc_d_derivative_terms(q)
+
+
+def _disc_curvature_terms(q):
+    return quartic_disc_d_second_terms(q)
+
+
+def _d_quad_terms(q):
+    # 256 (d - a^4/256)
+    a = q.a
+    return (256 * q.d, -(a * a * a * a))
+
+
+def _d_cubic(a, b, c):
+    """Coefficients (A, B, C) of the monic cubic in d equal to disc/256.
+
+    The divisions make int input inexact: exact callers pass Fractions.
+    """
+    a2, b2, c2, a3, b3, c3, a4, b4, c4 = _powers(a, b, c)
+    A = (-27 * a4 / 128 + 9 * a2 * b / 8 - 3 * a * c / 2 - b2) / 2
+    B = (9 * a3 * b * c / 8 - a2 * b3 / 4 - 3 * a2 * c2 / 8
+         - 5 * a * b2 * c + b4 + 9 * b * c2) / 16
+    C = (-a3 * c3 + a2 * b2 * c2 / 4 + 9 * a * b * c3 / 2
+         - b3 * c2 - 27 * c4 / 4) / 64
     return A, B, C
 
 
-def _band_quadratic_terms(q: Quartic):
-    # 27 * [4c^2 + a(a^2-4b)c - (b^2/3)(a^2 - 32b/9)]; same sign as (c-C1)(c-C2)
-    a, b, c = q.a, q.b, q.c
-    return (108 * c * c, 27 * a ** 3 * c, -108 * a * b * c, -9 * a * a * b * b, 32 * b ** 3)
+def _d_vs_tilde_terms(A, B, C, d):
+    # sign(d - d_tilde) scaled by A^2 - 3B > 0
+    A2 = A * A
+    return (A2 * d, -3 * B * d, A2 * A, -4 * A * B, 9 * C)
 
 
-def _c0_terms(q: Quartic):
-    # 8 * (c - C0)
-    return (8 * q.c, q.a ** 3, -4 * q.a * q.b)
+def _d_vs_dagger_terms(A, B, C, d):
+    # sign(d - d_dagger) scaled by 2(A^2 - 3B) > 0
+    return (2 * A * A * d, -6 * B * d, -9 * C, A * B)
+
+
+#: comparison name -> terms at q; both discriminant comparisons read one predicate
+_ON_COEFFS = {
+    "b_vs_3a2_over_8": _b_terms,
+    "c_vs_C0": _c0_terms,
+    "c_band": _band_terms,
+    "d_vs_d0_via_disc": _disc_terms,
+    "d_vs_droots_via_disc": _disc_terms,
+    "disc_d_slope": _disc_slope_terms,
+    "disc_d_curvature": _disc_curvature_terms,
+    "d_vs_a4_over_256": _d_quad_terms,
+}
+#: comparison name -> terms at (A, B, C, d) of the d-cubic
+_ON_D_CUBIC = {"d_vs_d_tilde": _d_vs_tilde_terms, "d_vs_d_dagger": _d_vs_dagger_terms}
 
 
 def delta3_expanded(q: Quartic):
@@ -166,11 +223,9 @@ def delta3(q: Quartic):
     conjugate pair.  K = 1289945088 = 314928 * 64 * 64 makes the factored and
     expanded forms identical.
     """
-    a, b, c = _lift(q.a), _lift(q.b), _lift(q.c)
-    c0 = -a ** 3 / 8 + a * b / 2
-    prod = (108 * c * c + 27 * a ** 3 * c - 108 * a * b * c
-            - 9 * a * a * b * b + 32 * b ** 3) / 108
-    return -1289945088 * (c - c0) ** 2 * prod ** 3
+    off_c0 = _lift(sum(_c0_terms(q))) / 8
+    band = _lift(sum(_band_terms(q))) / 108
+    return -1289945088 * off_c0 ** 2 * band ** 3
 
 
 def _d_dagger_tilde(A, B, C):
@@ -186,43 +241,30 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
     """Thresholds on c and d; rationally computable fields stay exact for exact input."""
     a, b = _lift(q.a), _lift(q.b)
     af, bf = float(a), float(b)
-    A, B, C = _abc(q)
+    A, B, C = _d_cubic(a, b, _lift(q.c))
     c0 = -a ** 3 / 8 + a * b / 2
-    s_b = tol.sign_terms((3 * q.a * q.a, -8 * q.b))
+    s_b = tol.sign_terms(_b_terms(q))
     c_hi = c_lo = None
-    if s_b > 0:
+    if s_b < 0:
         half = math.sqrt(3.0) / 72.0 * math.sqrt((3 * af * af - 8 * bf) ** 3)
         c_hi, c_lo = float(c0) + half, float(c0) - half
     s_c0 = tol.sign_terms(_c0_terms(q))
-    s_band = tol.sign_terms(_band_quadratic_terms(q))
+    s_band = tol.sign_terms(_band_terms(q))
     abc = (A, B, C)
     if s_b == 0 and s_c0 == 0:
         d0 = a ** 4 / 256
         return QuarticThresholds(c0, c_hi, c_lo, abc, (d0,), None, d0)
-    if s_c0 == 0 or (s_b > 0 and s_band == 0):
+    if s_c0 == 0 or (s_b < 0 and s_band == 0):
         # repeated root of the d-cubic
         dag, til = _d_dagger_tilde(A, B, C)
         return QuarticThresholds(c0, c_hi, c_lo, abc, (), dag, til)
     kind, payload = viete_values(Cubic(float(A), float(B), float(C)), tol)
-    if kind == "three":
-        d_roots = tuple(sorted(payload, reverse=True))
-    else:
-        d_roots = (payload,)
+    d_roots = tuple(sorted(payload, reverse=True)) if kind == "three" else (payload,)
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, None, None)
 
 
-def _d_vs_tilde_terms(A, B, C, d):
-    # sign(d - d_tilde) scaled by A^2 - 3B > 0
-    return (A * A * d, -3 * B * d, A ** 3, -4 * A * B, 9 * C)
-
-
-def _d_vs_dagger_terms(A, B, C, d):
-    # sign(d - d_dagger) scaled by 2(A^2 - 3B) > 0
-    return (2 * A * A * d, -6 * B * d, -9 * C, A * B)
-
-
-def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance):
-    """Exact root values for the zero-discriminant natures."""
+def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
+    """Exact root values for the zero-discriminant natures; s_c0 is the sign of c - C0."""
     qf = q.as_float()
     a, b = qf.a, qf.b
     center = -a / 4.0
@@ -235,7 +277,7 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance):
         return rs, None
     if nature is Nature.TRIPLE_PLUS_SINGLE:
         radius = math.sqrt(3.0) / 12.0 * math.sqrt(max(0.0, 3 * a * a - 8 * b))
-        on_high_side = tol.sign_terms(_c0_terms(q)) > 0  # c = C1 rather than C2
+        on_high_side = s_c0 > 0  # c = C1 rather than C2
         triple = center + radius if on_high_side else center - radius
         single = center - 3 * radius if on_high_side else center + 3 * radius
         values = [triple] * 3 + [single]
@@ -271,90 +313,29 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     coefficients all decisions are exact.
     """
     comparisons: List[Comparison] = []
+    signs = {}
+    cubic = []  # (A, B, C, d), built for the first comparison on the d-cubic
 
-    def record(name: str, terms) -> int:
+    def sign(name: str) -> int:
+        if name in _ON_D_CUBIC:
+            if not cubic:
+                a, b, c, d = (_lift(v) for v in (q.a, q.b, q.c, q.d))
+                cubic.extend((*_d_cubic(a, b, c), d))
+            terms = _ON_D_CUBIC[name](*cubic)
+        else:
+            terms = _ON_COEFFS[name](q)
         s, value, margin, fragile = tol.compare_terms(terms)
         comparisons.append(Comparison(name, value, margin, fragile))
+        signs[name] = s
         return s
 
-    a = q.a
-    # sign of b - 3a^2/8 (x8): >0 means b above the threshold
-    s_b_rel = record("b_vs_3a2_over_8", (8 * q.b, -3 * a * a))
-    s_c0 = record("c_vs_C0", _c0_terms(q))
-
-    # the d-cubic coefficients A, B, C are built only in the branches that read them
-    case: ClassificationCase
-    if s_b_rel > 0:  # b > 3a^2/8
-        if s_c0 != 0:
-            s_D = record("d_vs_d0_via_disc", quartic_discriminant_terms(q))
-            case = _pick(s_D, "i", "ii", "iii")
-        else:
-            A, B, C = _abc(q)
-            s_dt = record("d_vs_d_tilde", _d_vs_tilde_terms(A, B, C, _lift(q.d)))
-            case = _pick(s_dt, "iv", "v", "vi")
-    elif s_b_rel == 0:  # b = 3a^2/8
-        if s_c0 != 0:
-            s_D = record("d_vs_d0_via_disc", quartic_discriminant_terms(q))
-            case = _pick(s_D, "vii", "viii", "ix")
-        else:
-            s_d0 = record("d_vs_a4_over_256", (256 * q.d, -a ** 4))
-            case = _pick(s_d0, "x", "xi", "xii")
-    else:  # b < 3a^2/8
-        if s_c0 == 0:  # c = C0: symmetric stationary configuration
-            record("c_band", _band_quadratic_terms(q))
-            A, B, C = _abc(q)
-            d = _lift(q.d)
-            s_dd = record("d_vs_d_dagger", _d_vs_dagger_terms(A, B, C, d))
-            if s_dd > 0:
-                case = ClassificationCase.XXV
-            elif s_dd == 0:
-                case = ClassificationCase.XXVI
-            else:
-                s_dt = record("d_vs_d_tilde", _d_vs_tilde_terms(A, B, C, d))
-                case = _pick(s_dt, "xxvii", "xxviii", "xxix")
-        else:
-            s_band = record("c_band", _band_quadratic_terms(q))
-            if s_band == 0:  # c = C1 or c = C2
-                A, B, C = _abc(q)
-                d = _lift(q.d)
-                s_dt = record("d_vs_d_tilde", _d_vs_tilde_terms(A, B, C, d))
-                if s_dt > 0:
-                    case = ClassificationCase.XX
-                elif s_dt == 0:
-                    case = ClassificationCase.XXI
-                else:
-                    s_dd = record("d_vs_d_dagger", _d_vs_dagger_terms(A, B, C, d))
-                    case = _pick(s_dd, "xxii", "xxiii", "xxiv")
-            elif s_band < 0:  # strictly inside (C2, C1), c != C0: three d-roots
-                s_D = record("d_vs_droots_via_disc", quartic_discriminant_terms(q))
-                s_D1 = record("disc_d_slope", quartic_disc_d_derivative_terms(q))
-                s_D2 = record("disc_d_curvature", quartic_disc_d_second_terms(q))
-                if s_D > 0:
-                    case = (ClassificationCase.XIII
-                            if (s_D1 > 0 and s_D2 > 0) else ClassificationCase.XVII)
-                elif s_D == 0:
-                    if s_D1 > 0:
-                        case = (ClassificationCase.XIV if s_D2 > 0
-                                else ClassificationCase.XVIII)
-                    elif s_D1 < 0:
-                        case = ClassificationCase.XVI
-                    else:  # collapsed d-roots at tolerance: middle/outer fallback
-                        case = (ClassificationCase.XVIII if s_D2 < 0
-                                else ClassificationCase.XVI)
-                else:
-                    case = (ClassificationCase.XIX
-                            if (s_D1 > 0 and s_D2 < 0) else ClassificationCase.XV)
-            else:  # c outside [C2, C1]
-                s_D = record("d_vs_d0_via_disc", quartic_discriminant_terms(q))
-                case = _pick(s_D, "xxx", "xxxi", "xxxii")
-
-    nature, base_position = _CASE_TO_NATURE[case]
+    case = _cascade(sign)
+    nature, position = _CASE_TO_NATURE[case]
     thresholds = quartic_thresholds(q, tol)
     closed = None
-    position = base_position
     if nature in _ZERO_DISC_NATURES:
-        closed, computed_position = _closed_form_roots(nature, q, tol)
-        if nature is Nature.FOUR_REAL_DOUBLE_PAIR and computed_position is not None:
+        closed, computed_position = _closed_form_roots(nature, q, tol, signs["c_vs_C0"])
+        if computed_position is not None:
             position = computed_position
     return QuarticClassification(
         case=case,
@@ -367,12 +348,56 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     )
 
 
-def _pick(sign: int, above: str, equal: str, below: str):
-    if sign > 0:
-        return ClassificationCase[above.upper()]
-    if sign == 0:
-        return ClassificationCase[equal.upper()]
-    return ClassificationCase[below.upper()]
+def _cascade(sign: Callable[[str], int]) -> ClassificationCase:
+    """The 32-case decision tree, written once.
+
+    ``sign(name)`` answers one named comparison with -1, 0 or 1; the names
+    are the keys of _ON_COEFFS and _ON_D_CUBIC.  A path asks each comparison
+    at most once, in the order classify_quartic audits them.  The batch
+    classifier walks every path once to build its lookup table.
+    """
+    K = ClassificationCase
+    s_b = sign("b_vs_3a2_over_8")
+    s_c0 = sign("c_vs_C0")
+    if s_b > 0:  # b > 3a^2/8
+        if s_c0 != 0:
+            return _pick(sign("d_vs_d0_via_disc"), K.I, K.II, K.III)
+        return _pick(sign("d_vs_d_tilde"), K.IV, K.V, K.VI)
+    if s_b == 0:  # b = 3a^2/8
+        if s_c0 != 0:
+            return _pick(sign("d_vs_d0_via_disc"), K.VII, K.VIII, K.IX)
+        return _pick(sign("d_vs_a4_over_256"), K.X, K.XI, K.XII)
+    # b < 3a^2/8
+    s_band = sign("c_band")
+    if s_c0 == 0:  # c = C0: symmetric stationary configuration
+        s_dd = sign("d_vs_d_dagger")
+        if s_dd >= 0:
+            return K.XXV if s_dd > 0 else K.XXVI
+        return _pick(sign("d_vs_d_tilde"), K.XXVII, K.XXVIII, K.XXIX)
+    if s_band == 0:  # c = C1 or c = C2
+        s_dt = sign("d_vs_d_tilde")
+        if s_dt >= 0:
+            return K.XX if s_dt > 0 else K.XXI
+        return _pick(sign("d_vs_d_dagger"), K.XXII, K.XXIII, K.XXIV)
+    if s_band > 0:  # c outside [C2, C1]
+        return _pick(sign("d_vs_d0_via_disc"), K.XXX, K.XXXI, K.XXXII)
+    # strictly inside (C2, C1), c != C0: three d-roots
+    s_D = sign("d_vs_droots_via_disc")
+    s_D1 = sign("disc_d_slope")
+    s_D2 = sign("disc_d_curvature")
+    if s_D > 0:
+        return K.XIII if (s_D1 > 0 and s_D2 > 0) else K.XVII
+    if s_D < 0:
+        return K.XIX if (s_D1 > 0 and s_D2 < 0) else K.XV
+    if s_D1 > 0:
+        return K.XIV if s_D2 > 0 else K.XVIII
+    if s_D1 < 0:
+        return K.XVI
+    return K.XVIII if s_D2 < 0 else K.XVI  # collapsed d-roots at tolerance: middle/outer fallback
+
+
+def _pick(sign: int, above, equal, below) -> ClassificationCase:
+    return above if sign > 0 else (equal if sign == 0 else below)
 
 
 _CASE_TO_NATURE = {

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance
@@ -25,7 +25,9 @@ from .poly import Quartic
 from .quartic import (
     DoublePairPosition,
     Nature,
-    QuarticThresholds,
+    _b_terms,
+    _band_terms,
+    _c0_terms,
     classify_quartic,
     quartic_thresholds,
 )
@@ -83,10 +85,10 @@ def admissible_b_range(a, nature: Nature, tol: Tolerance = DEFAULT_TOL) -> Admis
     return Admissible(intervals=(((thr, None)),))
 
 
-def _require_triangle(a, b, tol: Tolerance, nature: Nature):
-    if tol.sign_terms((3 * a * a, -8 * b)) <= 0:
+def _require_triangle(q: Quartic, tol: Tolerance, nature: Nature):
+    if tol.sign_terms(_b_terms(q)) >= 0:
         raise Unachievable(
-            f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(a):.6g}, got b = {float(b):.6g}"
+            f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(q.a):.6g}, got b = {float(q.b):.6g}"
         )
 
 
@@ -94,14 +96,15 @@ def admissible_c_range(a, b, nature: Nature,
                        position: Optional[DoublePairPosition] = None,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
     """Admissible linear coefficients once a and b are fixed."""
+    q0 = Quartic(a, b, 0, 0)
     if nature is Nature.QUADRUPLE_ROOT:
-        if tol.sign_terms((8 * b, -3 * a * a)) != 0:
+        if tol.sign_terms(_b_terms(q0)) != 0:
             raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
         return Admissible(points=(float(a) ** 3 / 16.0,))
     if nature in (Nature.NO_REAL, Nature.TWO_EQUAL_REAL, Nature.TWO_DISTINCT_REAL):
         return Admissible(intervals=((None, None),))
-    _require_triangle(a, b, tol, nature)
-    thr = quartic_thresholds(Quartic(a, b, 0, 0), tol)
+    _require_triangle(q0, tol, nature)
+    thr = quartic_thresholds(q0, tol)
     c_lo, c_hi, c_mid = thr.c_lo, thr.c_hi, thr.c_mid
     if nature is Nature.FOUR_DISTINCT_REAL:
         return Admissible(intervals=((c_lo, c_hi),))
@@ -124,18 +127,12 @@ def admissible_d_range(a, b, c, nature: Nature,
     """Admissible free terms once a, b, c are fixed."""
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
-    s_b_rel = tol.sign_terms((8 * b, -3 * a * a))
-    s_c0 = tol.sign_terms((8 * c, a ** 3, -4 * a * b))
-    on_band_edge = (
-        s_b_rel < 0
-        and tol.sign_terms((108 * c * c, 27 * a ** 3 * c, -108 * a * b * c,
-                            -9 * a * a * b * b, 32 * b ** 3)) == 0
-    )
-    inside_band = (
-        s_b_rel < 0
-        and tol.sign_terms((108 * c * c, 27 * a ** 3 * c, -108 * a * b * c,
-                            -9 * a * a * b * b, 32 * b ** 3)) < 0
-    )
+    s_b_rel = tol.sign_terms(_b_terms(q0))
+    s_c0 = tol.sign_terms(_c0_terms(q0))
+    # the band [C2, C1] exists only below b = 3a^2/8
+    s_band = tol.sign_terms(_band_terms(q0)) if s_b_rel < 0 else 1
+    on_band_edge = s_band == 0
+    inside_band = s_band < 0
 
     if nature is Nature.QUADRUPLE_ROOT:
         if s_b_rel != 0 or s_c0 != 0:
@@ -178,50 +175,24 @@ def admissible_d_range(a, b, c, nature: Nature,
             return Admissible(points=(d2,))
         return Admissible(points=(d2, d3))
 
-    # zero- and two-real natures, every remaining branch
+    # zero- and two-real natures: the largest d-root (d_tilde where the d-cubic
+    # has a repeated root) bounds them, except d_dagger at c = C0 below 3a^2/8
+    symmetric = s_b_rel < 0 and s_c0 == 0
+    top = thr.d_roots[0] if thr.d_roots else thr.d_tilde
     if nature is Nature.NO_REAL:
-        upper = _no_real_lower_bound(thr, s_b_rel, s_c0, on_band_edge, inside_band)
-        return Admissible(intervals=((upper, None),))
+        return Admissible(intervals=((thr.d_dagger if symmetric else top, None),))
     if nature is Nature.TWO_EQUAL_REAL:
-        point = _two_equal_point(thr, s_b_rel, s_c0, on_band_edge, inside_band)
-        if point is None:
+        if symmetric:
             raise Unachievable("no two-equal-real case at c = C0 with b < 3a^2/8")
-        return Admissible(points=(point,))
+        return Admissible(points=(top,))
     if nature is Nature.TWO_DISTINCT_REAL:
-        pieces: List[Tuple[Optional[float], Optional[float]]] = []
         if inside_band and s_c0 != 0:
             d1, d2, d3 = thr.d_roots
-            pieces.append((d2, d1))
-            pieces.append((None, d3))
-        elif on_band_edge:
-            pieces.append((thr.d_dagger, thr.d_tilde))
-            pieces.append((None, thr.d_dagger))
-        elif s_b_rel < 0 and s_c0 == 0:
-            pieces.append((None, thr.d_tilde))
-        else:
-            pieces.append((None, thr.d_roots[0]))
-        return Admissible(intervals=tuple(pieces))
+            return Admissible(intervals=((d2, d1), (None, d3)))
+        if on_band_edge:
+            return Admissible(intervals=((thr.d_dagger, thr.d_tilde), (None, thr.d_dagger)))
+        return Admissible(intervals=((None, top),))
     raise Unachievable(f"unsupported nature {nature!r}")
-
-
-def _no_real_lower_bound(thr: QuarticThresholds, s_b_rel, s_c0, on_edge, inside):
-    if s_b_rel < 0 and s_c0 == 0:
-        return thr.d_dagger
-    if on_edge:
-        return thr.d_tilde
-    if inside:
-        return thr.d_roots[0]
-    return thr.d_roots[0] if thr.d_roots else thr.d_tilde
-
-
-def _two_equal_point(thr: QuarticThresholds, s_b_rel, s_c0, on_edge, inside):
-    if s_b_rel < 0 and s_c0 == 0:
-        return None
-    if on_edge:
-        return thr.d_tilde
-    if inside:
-        return thr.d_roots[0]
-    return thr.d_roots[0] if thr.d_roots else thr.d_tilde
 
 
 # --- sampling -------------------------------------------------------------------

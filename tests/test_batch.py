@@ -1,32 +1,120 @@
 """Vectorized classifier and root finder against their scalar references."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyclass import Quartic, classify_quartic, discriminant_quartic
+from polyclass import (
+    Nature,
+    NatureTarget,
+    Quartic,
+    classify_quartic,
+    discriminant_quartic,
+    synthesize,
+)
 from polyclass.batch import (
+    CASE_BY_INDEX,
     NATURE_BY_CODE,
+    NATURE_CODE_BY_CASE,
     REAL_COUNT_BY_CODE,
+    _INDEX,
+    _tables,
     aberth_roots_batch,
     brute_discriminant_batch,
+    classify_case_batch,
     classify_nature_batch,
     min_root_gap_batch,
     real_root_count_batch,
 )
+from polyclass.quartic import _CASE_TO_NATURE, _cascade
+
+
+def _scalar(a, b, c, d):
+    """Scalar case and minimum |margin|, the quantities the batch path returns."""
+    cls = classify_quartic(Quartic(a, b, c, d))
+    return cls.case, min(abs(x.margin_units) for x in cls.comparisons)
+
+
+def _assert_scalar_equals_batch(abcd):
+    """Same case and bit-identical minimum margin on every column of abcd."""
+    cases, margins = classify_case_batch(*abcd)
+    for i in range(abcd.shape[1]):
+        case, margin = _scalar(*(float(v) for v in abcd[:, i]))
+        assert CASE_BY_INDEX[cases[i]] is case, abcd[:, i]
+        assert float(margins[i]).hex() == margin.hex(), abcd[:, i]
+
+
+def _integer_grid():
+    g = np.arange(-4.0, 5.0)
+    return np.stack([x.ravel() for x in np.meshgrid(g, g, g, g, indexing="ij")])
+
+
+def _scaled(abcd, lam):
+    return abcd * np.array([lam, lam ** 2, lam ** 3, lam ** 4])[:, None]
+
+
+dyadic = st.integers(-64, 64).map(lambda n: n / 8.0)
 
 
 class TestClassifyBatch:
     def test_matches_scalar_on_random_samples(self, rng):
-        n = 20000
-        a, b, c, d = rng.uniform(-10, 10, size=(4, n))
-        codes, margins = classify_nature_batch(a, b, c, d)
-        idx = rng.choice(n, size=2000, replace=False)
-        for i in idx:
-            scalar = classify_quartic(Quartic(a[i], b[i], c[i], d[i]))
-            if NATURE_BY_CODE[codes[i]] is not scalar.nature:
-                # sign-test rounding may differ only inside the fragile shell
-                assert margins[i] < 10.0
-        assert np.isfinite(margins[np.isfinite(margins)]).all()
+        _assert_scalar_equals_batch(rng.uniform(-10, 10, size=(4, 2000)))
+
+    def test_matches_scalar_on_syntheses_of_every_nature(self):
+        quartics = [synthesize(NatureTarget(nature, a=a, strategy="random", seed=seed))
+                    for nature in Nature for a in (-3.0, 0.5, 2.0) for seed in range(4)]
+        abcd = np.array([[q.a, q.b, q.c, q.d] for q in quartics]).T
+        natures, _ = classify_nature_batch(*abcd)
+        assert {NATURE_BY_CODE[k] for k in natures} == set(Nature)
+        _assert_scalar_equals_batch(abcd)
+
+    def test_matches_scalar_and_exact_on_integer_grid(self):
+        grid = _integer_grid()
+        _assert_scalar_equals_batch(grid)
+        cases, _ = classify_case_batch(*grid)
+        for i in range(grid.shape[1]):
+            exact = classify_quartic(Quartic(*(Fraction(int(v)) for v in grid[:, i])))
+            assert CASE_BY_INDEX[cases[i]] is exact.case, grid[:, i]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic, dyadic, dyadic, dyadic, st.integers(-20, 20))
+    def test_weighted_scaling_and_reflection_invariance(self, a, b, c, d, k):
+        abcd = np.array([[a], [b], [c], [d]])
+        base = _scalar(a, b, c, d)
+        batch_base = classify_case_batch(*abcd)
+        scaled = _scaled(abcd, 2.0 ** k)
+        assert _scalar(*scaled[:, 0]) == base
+        for got, want in zip(classify_case_batch(*scaled), batch_base):
+            assert got.tobytes() == want.tobytes()
+        assert _scalar(-a, b, -c, d)[0] is base[0]
+        assert classify_case_batch(-abcd[0], abcd[1], -abcd[2], abcd[3])[0] == batch_base[0]
+
+    def test_table_is_the_scalar_cascade(self):
+        case_of, consulted = _tables()
+        assert set(case_of.tolist()) == set(range(len(CASE_BY_INDEX)))
+        for key in range(3 ** 9):
+            signs = [(key // 3 ** (8 - p)) % 3 - 1 for p in range(9)]
+            asked = set()
+
+            def sign(name):
+                asked.add(_INDEX[name])
+                return signs[_INDEX[name]]
+
+            assert CASE_BY_INDEX[case_of[key]] is _cascade(sign)
+            assert consulted[key] == sum(1 << p for p in asked)
+        for index, case in enumerate(CASE_BY_INDEX):
+            assert NATURE_BY_CODE[NATURE_CODE_BY_CASE[index]] is _CASE_TO_NATURE[case][0]
+
+    @pytest.mark.parametrize("lam", [1e40, 2.0 ** 100])
+    def test_overflow_is_flagged_never_confident(self, rng, lam):
+        abcd = rng.uniform(-10, 10, size=(4, 1000))
+        codes, _ = classify_nature_batch(*abcd)
+        scaled_codes, margins = classify_nature_batch(*_scaled(abcd, lam))
+        assert not np.isnan(margins).any()
+        assert (margins[scaled_codes != codes] < 10.0).all()
 
     def test_boundary_cases_coded(self):
         a = np.array([4.0, 0.0, 0.0, 3.0])

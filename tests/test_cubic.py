@@ -92,6 +92,11 @@ class TestVieteRoots:
         rs = viete_roots(Cubic(0.0, -1.0, 0.0))
         assert rs.values == pytest.approx((-1.0, 0.0, 1.0), abs=1e-12)
 
+    def test_overflowing_root_raises(self):
+        # 27c overflows the arccos argument: no NaN root may come back
+        with pytest.raises(OverflowError, match="overflow"):
+            viete_roots(Cubic(0.0, 1.0, 1e307))
+
     def test_derivative_cubic_of_worked_example(self):
         rs = viete_roots(Cubic(2.25, 1.0, -0.25))
         expected = (-1.425390529679106, -1.0, 0.1753905296791061)

@@ -136,10 +136,10 @@ class TestDelta3:
 
     def test_matches_cubic_discriminant_normalization(self):
         # delta3 is the discriminant of 256(d^3 + A d^2 + B d + C): factor 256^4
-        from polyclass.quartic import _abc
+        from polyclass.quartic import _d_cubic
 
         q = Quartic(Fraction(3), Fraction(2), Fraction(-1), Fraction(0))
-        A, B, C = _abc(q)
+        A, B, C = _d_cubic(q.a, q.b, q.c)
         assert delta3(q) == 256 ** 4 * discriminant_cubic(Cubic(A, B, C))
 
 

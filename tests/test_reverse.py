@@ -95,6 +95,13 @@ class TestAdmissibleD:
         with pytest.raises(Unachievable):
             admissible_d_range(3.0, 2.0, -0.375, Nature.TWO_EQUAL_REAL)
 
+    def test_two_distinct_at_c0_above_b_threshold(self):
+        # a = 0, b > 0, c = 0 puts c on C0 with one d-root, d_tilde, as bound
+        adm = admissible_d_range(0.0, 1.0, 0.0, Nature.TWO_DISTINCT_REAL)
+        assert adm.intervals == ((None, 0.0),)
+        q = synthesize(NatureTarget(Nature.TWO_DISTINCT_REAL, a=0.0))
+        assert classify_quartic(q).nature is Nature.TWO_DISTINCT_REAL
+
     def test_two_distinct_has_bounded_piece_inside_band(self):
         adm = admissible_d_range(3.0, 2.0, -1.0, Nature.TWO_DISTINCT_REAL)
         assert len(adm.intervals) == 2
