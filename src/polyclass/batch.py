@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .numeric import MIN_NORMAL
 from .quartic import (
     _CASE_TO_NATURE,
     _ON_COEFFS,
@@ -102,7 +103,7 @@ def _sign_digit_and_margin(terms, eps: float):
     overflow = ~np.isfinite(value)  # a non-finite term makes the sum non-finite
     value[overflow] = 0.0
     scale[overflow] = 0.0
-    denom = eps * scale
+    denom = eps * np.maximum(scale, MIN_NORMAL)
     margin = np.abs(value) / denom
     margin[value == 0.0] = 0.0
     digit = (value >= -denom).astype(np.intp)

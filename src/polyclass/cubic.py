@@ -114,6 +114,17 @@ def _acos_argument(a: float, b: float, c: float, s2: float) -> float:
     return -(2.0 * a ** 3 - 9.0 * a * b + 27.0 * c) / denom
 
 
+def _outside_band(a: float, b: float, c: float, s2: float, w: float,
+                  tol: Tolerance) -> bool:
+    """|w| > 1 for the arccos argument w, as a sign test over the terms of its
+    numerator: w carries their cancellation, so 1 + eps alone is too tight."""
+    if abs(w) <= 1.0 + tol.eps:
+        return False
+    s = math.copysign(1.0, -w)  # the sign of the numerator
+    return tol.sign_terms((s * 2.0 * a ** 3, -s * 9.0 * a * b, s * 27.0 * c,
+                           -2.0 * math.sqrt(s2) ** 3)) > 0
+
+
 def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
     """Raw trigonometric root values.
 
@@ -135,7 +146,7 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)
         w = _acos_argument(a, b, c, s2)
-        if abs(w) <= 1.0 + tol.eps:
+        if not _outside_band(a, b, c, s2, w, tol):
             theta = math.acos(max(-1.0, min(1.0, w))) / 3.0
             x1 = third + amp * math.cos(theta)
             x2 = third - amp * math.cos(theta + math.pi / 3.0)
@@ -188,7 +199,7 @@ def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:
     if tol.sign_terms((cu.a * cu.a, -3 * cu.b)) <= 0:
         raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0")
     w = _acos_argument(a, b, c, s2)
-    if abs(w) > 1.0 + tol.eps:
+    if _outside_band(a, b, c, s2, w, tol):
         raise OutOfRange(f"arccos argument {w!r} outside [-1, 1]: free term outside band")
     return math.acos(max(-1.0, min(1.0, w))) / 3.0
 

@@ -3,7 +3,9 @@
 All threshold decisions in the library reduce to the sign of a polynomial
 expression in the input coefficients.  In floating point, a sign is only
 trusted when the summed value exceeds ``eps`` times the magnitude of the
-largest term in the expression; anything smaller counts as zero.  With
+largest term in the expression; anything smaller counts as zero.  Below
+the normal float range precision is absolute rather than relative, so the
+scale never counts as less than the smallest normal float.  With
 ``fractions.Fraction`` coefficients the same tests are exact and the
 tolerance is ignored.
 """
@@ -11,6 +13,7 @@ tolerance is ignored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -19,6 +22,7 @@ from typing import Iterable, Sequence, Tuple, Union
 Number = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
+MIN_NORMAL = sys.float_info.min
 
 
 def is_exact(value) -> bool:
@@ -74,7 +78,8 @@ class Tolerance:
     """Relative sign-test tolerance.
 
     ``sign_terms`` sums a list of monomial terms and compares the total
-    against ``eps`` times the largest term magnitude.  Exact (rational)
+    against ``eps`` times the largest term magnitude, or the smallest normal
+    float if that is larger.  Exact (rational)
     terms short-circuit to an exact comparison.  ``compare_terms`` makes
     the same test and also returns the value, margin and fragile flag.
     """
@@ -115,13 +120,13 @@ class Tolerance:
         if is_exact(value):
             return (value > 0) - (value < 0)
         v = float(value)
-        if abs(v) <= self.eps * scale:
+        if abs(v) <= self.eps * max(scale, MIN_NORMAL):
             return 0
         return 1 if v > 0 else -1
 
     def margin(self, value: Number, scale: float) -> float:
         v = float(value)
-        denom = self.eps * scale
+        denom = self.eps * max(scale, MIN_NORMAL)
         if denom == 0.0:
             return math.inf if v > 0 else (-math.inf if v < 0 else 0.0)
         return v / denom

@@ -257,9 +257,15 @@ def _clustered_roots(coeffs: Sequence[float], cfg: OracleConfig) -> List[Tuple[c
     out = []
     for cluster in _cluster(raw, coeffs, cfg):
         m = len(cluster)
-        locality = 4.0 * (_diameter(cluster) + cfg.cluster_tol * scale)
-        z = _polish(derivs, _centroid(cluster), m, cfg.polish_steps, locality)
-        out.append((z, m))
+        z = _centroid(cluster)
+        diam = _diameter(cluster)
+        if m > 1 and diam > 8.0 * _multiple_root_scatter(derivs, z, m):
+            # merged by the tolerance alone, so not an m-fold root: a root of
+            # p^(m-1) may lie off the group, while the mean keeps the root sum
+            out.append((z, m))
+            continue
+        locality = 4.0 * (diam + cfg.cluster_tol * scale)
+        out.append((_polish(derivs, z, m, cfg.polish_steps, locality), m))
     return sorted(out, key=lambda t: sort_key_complex(t[0]))
 
 

@@ -116,6 +116,12 @@ class TestClassifyBatch:
         assert not np.isnan(margins).any()
         assert (margins[scaled_codes != codes] < 10.0).all()
 
+    @pytest.mark.parametrize("k", [88, 131, 175, 262])
+    def test_matches_scalar_below_the_normal_range(self, rng, k):
+        # weight-w predicates (w = 12, 8, 6, 4) sum to subnormal values at 2^-k
+        abcd = _scaled(rng.uniform(-10, 10, size=(4, 300)), 2.0 ** -k)
+        _assert_scalar_equals_batch(abcd)
+
     def test_boundary_cases_coded(self):
         a = np.array([4.0, 0.0, 0.0, 3.0])
         b = np.array([6.0, -2.0, -6.0, 2.0])

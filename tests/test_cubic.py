@@ -128,6 +128,24 @@ class TestVieteRoots:
         assert rs.complex_pairs == 1
         assert rs.values[0] == pytest.approx(1.0 - 2.0, abs=1e-12)  # 1 - cbrt(8)
 
+    @pytest.mark.parametrize("roots", [
+        (-4.486306789057615, -4.5391132531659295, -4.5391132531659295),
+        (2.4375, 2.4375, 2.457407069367669),
+        (1.84375, 1.84375, 1.8420594792190306),
+    ])
+    def test_double_root_past_unit_argument_stays_real(self, roots):
+        # the arccos argument misses 1 + eps through cancellation in its numerator
+        cu = Cubic(*cubic_coeffs_from_roots(*roots))
+        assert classify_cubic(cu).kind is CubicKind.DOUBLE_PLUS_SINGLE
+        assert viete_roots(cu).expanded() == pytest.approx(sorted(roots), abs=1e-6)
+
+    def test_subnormal_triple_root(self):
+        # c = -r^3 is subnormal and carries an absolute rounding of 2^-1075
+        r = 1.0980362063828768e-107
+        cu = Cubic(*cubic_coeffs_from_roots(r, r, r))
+        assert classify_cubic(cu).kind is CubicKind.TRIPLE_REAL
+        assert viete_roots(cu).roots == ((r, 3),)
+
     def test_boundary_double_root_merges(self):
         rs = viete_roots(Cubic(0.0, -1.0, C1_SYMMETRIC))
         assert tuple(sorted(rs.multiplicities)) == (1, 2)

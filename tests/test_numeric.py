@@ -66,6 +66,13 @@ def test_overflowing_float_terms_raise():
         Tolerance().sign_terms((1e308, 1e308))
 
 
+def test_scale_counts_as_at_least_the_smallest_normal():
+    tiny = 5e-324
+    assert Tolerance().sign_terms((27 * tiny, -26 * tiny)) == 0
+    assert Tolerance().sign_terms((1e-300, -0.5e-300)) == 1
+    assert Tolerance(0.0).sign_terms((27 * tiny, -26 * tiny)) == 1
+
+
 def test_exact_sign_of_huge_fractions_needs_no_float():
     huge = Fraction(10**400, 3)
     assert Tolerance().sign_terms((huge, -huge / 2)) == 1

@@ -107,6 +107,14 @@ class TestReconstruction:
         for got, want in zip(rec[1:], (p, q, r, s, t)):
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
 
+    def test_tolerance_merge_keeps_the_root_sum(self):
+        # roots 0 (triple) and +-8.3e-7: the merge tolerance groups 0, 0, 0 and
+        # 8.3e-7, which are no 4-fold root, so the group stays at its mean
+        q = -6.932438034147816e-13
+        roots = all_roots(Quintic(0.0, q, 0.0, 0.0, 0.0))
+        rec = np.real(np.poly(roots))
+        assert rec[1:] == pytest.approx((0.0, q, 0.0, 0.0, 0.0), abs=1e-12)
+
 
 class TestBruteDiscriminant:
     def test_simple_cubic(self):
