@@ -12,7 +12,6 @@ around 10^5 keep the working set in cache.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from typing import Tuple
 
@@ -25,6 +24,7 @@ from .quartic import (
     _ON_D_CUBIC,
     ClassificationCase,
     Nature,
+    _Coeffs,
     _cascade,
     _d_cubic,
 )
@@ -56,9 +56,6 @@ _PREDICATES = (*dict.fromkeys(_ON_COEFFS.values()), *_ON_D_CUBIC.values())
 #: comparison name -> predicate index (both discriminant names read one predicate)
 _INDEX = {name: _PREDICATES.index(fn) for name, fn in {**_ON_COEFFS, **_ON_D_CUBIC}.items()}
 _N = len(_PREDICATES)
-
-
-_Coeffs = namedtuple("_Coeffs", "a b c d")
 
 
 def _leaves():

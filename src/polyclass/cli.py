@@ -27,6 +27,7 @@ from .quartic import (
     NATURE_STRUCTURE,
     DoublePairPosition,
     Nature,
+    _b_gap,
     classify_quartic,
 )
 from .quintic import delta5_eval, delta5_sign_changes, quintic_cascade
@@ -154,7 +155,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
         oracle_roots = solve(q.as_float())
         roots = oracle_roots
     geometry = None
-    if 3.0 * float(q.a) ** 2 - 8.0 * float(q.b) > 0.0:
+    if _b_gap(float(q.a), float(q.b)) > 0.0:
         t = geometry_mod.tetrahedron_data(float(q.a), float(q.b))
         geometry = {
             "center_x": t.center_x, "insphere_radius": t.insphere_radius,

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
-from .numeric import _OVERFLOW, DEFAULT_TOL, Tolerance
+from .numeric import _OVERFLOW, DEFAULT_TOL, Tolerance, sum_terms
 from .poly import Cubic, RootSet, cubic_discriminant_terms, root_set_from_values
 
 SQRT3 = math.sqrt(3.0)
@@ -62,10 +62,9 @@ class CubicClassification:
     triangle: Optional[TriangleData]
 
 
-def _band_terms(cu: Cubic):
-    # c - c0 with c0 = -2a^3/27 + ab/3, cleared of denominators (x27)
-    a, b, c = cu.a, cu.b, cu.c
-    return (27 * c, 2 * a ** 3, -9 * a * b)
+def _acos_numerator_terms(a, b, c):
+    # 2a^3 - 9ab + 27c = 27 (c - c0), c0 = -2a^3/27 + ab/3 the band midpoint
+    return (2 * a ** 3, -9 * a * b, 27 * c)
 
 
 def cubic_thresholds(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicThresholds:
@@ -74,7 +73,7 @@ def cubic_thresholds(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicThresholds
     s2 = a * a - 3.0 * b
     if tol.sign_terms((cu.a * cu.a, -3 * cu.b)) <= 0:
         raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0: no two distinct critical points")
-    c0 = -2.0 * a ** 3 / 27.0 + a * b / 3.0
+    c0 = -sum_terms(_acos_numerator_terms(a, b, 0.0)) / 27.0
     half = 2.0 / 27.0 * math.sqrt(s2 ** 3)
     return CubicThresholds(c0=c0, c1=c0 + half, c2=c0 - half)
 
@@ -107,22 +106,24 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
     return CubicClassification(CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None)
 
 
-def _acos_argument(a: float, b: float, c: float, s2: float) -> float:
+def _acos_argument(a: float, b: float, c: float, s2: float,
+                   tol: Tolerance) -> Tuple[float, bool]:
+    """The arccos argument w of the trigonometric roots, and whether |w| > 1.
+
+    |w| > 1 is a sign test over the terms of w's numerator: w carries their
+    cancellation, so 1 + eps alone is too tight.
+    """
     denom = 2.0 * math.sqrt(s2) ** 3
     if denom == 0.0:
         raise NoTriangle("a^2 - 3b below floating-point resolution")
-    return -(2.0 * a ** 3 - 9.0 * a * b + 27.0 * c) / denom
-
-
-def _outside_band(a: float, b: float, c: float, s2: float, w: float,
-                  tol: Tolerance) -> bool:
-    """|w| > 1 for the arccos argument w, as a sign test over the terms of its
-    numerator: w carries their cancellation, so 1 + eps alone is too tight."""
+    t1, t2, t3 = _acos_numerator_terms(a, b, c)
+    w = -(t1 + t2 + t3) / denom
     if abs(w) <= 1.0 + tol.eps:
-        return False
-    s = math.copysign(1.0, -w)  # the sign of the numerator
-    return tol.sign_terms((s * 2.0 * a ** 3, -s * 9.0 * a * b, s * 27.0 * c,
-                           -2.0 * math.sqrt(s2) ** 3)) > 0
+        return w, False
+    if not math.isfinite(w):  # the numerator overflowed: no sign test to make
+        return w, True
+    s = -1.0 if w > 0 else 1.0  # the sign of the numerator
+    return w, tol.sign_terms((s * t1, s * t2, s * t3, -denom)) > 0
 
 
 def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
@@ -145,8 +146,8 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
         return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)
-        w = _acos_argument(a, b, c, s2)
-        if not _outside_band(a, b, c, s2, w, tol):
+        w, outside = _acos_argument(a, b, c, s2, tol)
+        if not outside:
             theta = math.acos(max(-1.0, min(1.0, w))) / 3.0
             x1 = third + amp * math.cos(theta)
             x2 = third - amp * math.cos(theta + math.pi / 3.0)
@@ -163,7 +164,7 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
         # flips the arccos argument sign as well
         s = cmath.sqrt(complex(s2))
         amp = 2.0 / 3.0 * s
-        w = (2.0 * a ** 3 - 9.0 * a * b + 27.0 * c) / (2.0 * s ** 3)
+        w = sum_terms(_acos_numerator_terms(a, b, c)) / (2.0 * s ** 3)
         theta = cmath.acos(w) / 3.0
         candidates = [
             third - amp * cmath.cos(theta),
@@ -198,8 +199,8 @@ def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:
     s2 = a * a - 3.0 * b
     if tol.sign_terms((cu.a * cu.a, -3 * cu.b)) <= 0:
         raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0")
-    w = _acos_argument(a, b, c, s2)
-    if _outside_band(a, b, c, s2, w, tol):
+    w, outside = _acos_argument(a, b, c, s2, tol)
+    if outside:
         raise OutOfRange(f"arccos argument {w!r} outside [-1, 1]: free term outside band")
     return math.acos(max(-1.0, min(1.0, w))) / 3.0
 
@@ -253,7 +254,7 @@ def cubic_isolation_intervals(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicI
     """Landmark intervals containing the sorted real roots (smallest first)."""
     tri = triangle_data(cu, tol)
     third = tri.centroid_x
-    if tol.sign_terms(_band_terms(cu)) <= 0:
+    if tol.sign_terms(_acos_numerator_terms(cu.a, cu.b, cu.c)) <= 0:
         intervals = (
             (tri.nu3, tri.mu2),
             (tri.mu2, third),

@@ -15,7 +15,7 @@ from typing import Tuple
 from .errors import NoTetrahedron, NotFourReal
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Quartic
-from .quartic import Nature, QuarticClassification, _c0_terms
+from .quartic import Nature, QuarticClassification, _b_gap, _c0_terms
 
 SQRT3 = math.sqrt(3.0)
 
@@ -57,7 +57,7 @@ class LocalizationResult:
 
 def tetrahedron_data(a: float, b: float) -> TetrahedronData:
     a, b = float(a), float(b)
-    gap = 3.0 * a * a - 8.0 * b
+    gap = _b_gap(a, b)
     if gap <= 0.0:
         raise NoTetrahedron(f"3a^2 - 8b = {gap:.6g} <= 0: no tetrahedron")
     radius = SQRT3 / 12.0 * math.sqrt(gap)
@@ -82,7 +82,7 @@ def tetrahedron_data(a: float, b: float) -> TetrahedronData:
 
 def _gap(a: float, b: float) -> float:
     a, b = float(a), float(b)
-    gap = 3.0 * a * a - 8.0 * b
+    gap = _b_gap(a, b)
     if gap < 0.0:
         raise NoTetrahedron(f"3a^2 - 8b = {gap:.6g} < 0: no four real roots possible")
     return gap

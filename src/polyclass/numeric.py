@@ -16,13 +16,25 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
+from operator import add
 from typing import Iterable, Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
 MIN_NORMAL = sys.float_info.min
+
+
+def _sum_left(terms: Sequence[Number]) -> Number:
+    return reduce(add, terms, 0)
+
+
+#: left-to-right sum from 0, rounded like numpy's elementwise sums; that is
+#: what (the faster) ``sum()`` does before Python 3.12, which made it
+#: compensate float rounding
+sum_terms = sum if sys.version_info < (3, 12) else _sum_left
 
 
 def is_exact(value) -> bool:
@@ -77,17 +89,17 @@ _OVERFLOW = ("coefficient magnitudes overflow the threshold expression; "
 class Tolerance:
     """Relative sign-test tolerance.
 
-    ``sign_terms`` sums a list of monomial terms and compares the total
-    against ``eps`` times the largest term magnitude, or the smallest normal
-    float if that is larger.  Exact (rational)
-    terms short-circuit to an exact comparison.  ``compare_terms`` makes
-    the same test and also returns the value, margin and fragile flag.
+    ``sign_terms`` sums a list of monomial terms left to right and compares
+    the total against ``eps`` times the largest term magnitude, or the
+    smallest normal float if that is larger.  Exact (rational) terms
+    short-circuit to an exact comparison.  ``compare_terms`` makes the same
+    test and also returns the value, margin and fragile flag.
     """
 
     eps: float = DEFAULT_EPS
 
     def sign_terms(self, terms: Sequence[Number]) -> int:
-        value = sum(terms)
+        value = sum_terms(terms)
         if is_exact(value):
             return (value > 0) - (value < 0)
         value = float(value)
@@ -105,7 +117,7 @@ class Tolerance:
         ``sign_terms``, exact terms are converted to float as well, so
         Fractions beyond the float range raise OverflowError here.
         """
-        total = sum(terms)
+        total = sum_terms(terms)
         value = float(total)
         scale = max((abs(float(t)) for t in terms), default=0.0)
         margin = self.margin(value, scale)
@@ -120,13 +132,13 @@ class Tolerance:
         if is_exact(value):
             return (value > 0) - (value < 0)
         v = float(value)
-        if abs(v) <= self.eps * max(scale, MIN_NORMAL):
+        if abs(v) <= self.eps * (scale if scale > MIN_NORMAL else MIN_NORMAL):
             return 0
         return 1 if v > 0 else -1
 
     def margin(self, value: Number, scale: float) -> float:
         v = float(value)
-        denom = self.eps * max(scale, MIN_NORMAL)
+        denom = self.eps * (scale if scale > MIN_NORMAL else MIN_NORMAL)
         if denom == 0.0:
             return math.inf if v > 0 else (-math.inf if v < 0 else 0.0)
         return v / denom

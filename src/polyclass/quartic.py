@@ -10,12 +10,13 @@ cascade is exact for Fraction inputs and tolerance-guarded for floats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from .cubic import viete_values
-from .numeric import DEFAULT_TOL, Number, Tolerance
+from .numeric import DEFAULT_TOL, Number, Tolerance, sum_terms
 from .poly import (
     Cubic,
     Quartic,
@@ -129,6 +130,9 @@ class BoundaryAudit:
 # ``q`` is a Quartic or, in the batch classifier, a tuple of float64 arrays.  Only
 # + - * appear, so float and numpy round alike and Fraction or int input stays exact.
 
+#: coefficients without the Quartic checks: float64 arrays, or a prefix padded with 0
+_Coeffs = namedtuple("_Coeffs", "a b c d")
+
 def _b_terms(q):
     # 8 (b - 3a^2/8)
     a = q.a
@@ -165,6 +169,16 @@ def _d_quad_terms(q):
     # 256 (d - a^4/256)
     a = q.a
     return (256 * q.d, -(a * a * a * a))
+
+
+def _c_mid(a, b):
+    """C0 = -a^3/8 + ab/2, where the c_vs_C0 predicate vanishes."""
+    return -sum_terms(_c0_terms(_Coeffs(a, b, 0, 0))) / 8
+
+
+def _b_gap(a, b):
+    """3a^2 - 8b, the b_vs_3a2_over_8 predicate negated."""
+    return -sum_terms(_b_terms(_Coeffs(a, b, 0, 0)))
 
 
 def _d_cubic(a, b, c):
@@ -223,8 +237,8 @@ def delta3(q: Quartic):
     conjugate pair.  K = 1289945088 = 314928 * 64 * 64 makes the factored and
     expanded forms identical.
     """
-    off_c0 = _lift(sum(_c0_terms(q))) / 8
-    band = _lift(sum(_band_terms(q))) / 108
+    off_c0 = _lift(sum_terms(_c0_terms(q))) / 8
+    band = _lift(sum_terms(_band_terms(q))) / 108
     return -1289945088 * off_c0 ** 2 * band ** 3
 
 
@@ -240,19 +254,18 @@ def _d_dagger_tilde(A, B, C):
 def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
     """Thresholds on c and d; rationally computable fields stay exact for exact input."""
     a, b = _lift(q.a), _lift(q.b)
-    af, bf = float(a), float(b)
     A, B, C = _d_cubic(a, b, _lift(q.c))
-    c0 = -a ** 3 / 8 + a * b / 2
+    c0 = _c_mid(a, b)
     s_b = tol.sign_terms(_b_terms(q))
     c_hi = c_lo = None
     if s_b < 0:
-        half = math.sqrt(3.0) / 72.0 * math.sqrt((3 * af * af - 8 * bf) ** 3)
+        half = math.sqrt(3.0) / 72.0 * math.sqrt(float(_b_gap(a, b)) ** 3)
         c_hi, c_lo = float(c0) + half, float(c0) - half
     s_c0 = tol.sign_terms(_c0_terms(q))
     s_band = tol.sign_terms(_band_terms(q))
     abc = (A, B, C)
     if s_b == 0 and s_c0 == 0:
-        d0 = a ** 4 / 256
+        d0 = -sum_terms(_d_quad_terms(_Coeffs(a, b, 0, 0))) / 256
         return QuarticThresholds(c0, c_hi, c_lo, abc, (d0,), None, d0)
     if s_c0 == 0 or (s_b < 0 and s_band == 0):
         # repeated root of the d-cubic
@@ -271,12 +284,12 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
     if nature is Nature.QUADRUPLE_ROOT:
         return RootSet(((center, 4),), 0, (abs(qf(center)),), 4), None
     if nature is Nature.TWO_DOUBLE_PAIRS:
-        s = math.sqrt(max(0.0, 3 * a * a - 8 * b))
+        s = math.sqrt(max(0.0, _b_gap(a, b)))
         lo, hi = center - s / 4.0, center + s / 4.0
         rs = root_set_from_values([lo, lo, hi, hi], [abs(qf(lo))] * 2 + [abs(qf(hi))] * 2, 4)
         return rs, None
     if nature is Nature.TRIPLE_PLUS_SINGLE:
-        radius = math.sqrt(3.0) / 12.0 * math.sqrt(max(0.0, 3 * a * a - 8 * b))
+        radius = math.sqrt(3.0) / 12.0 * math.sqrt(max(0.0, _b_gap(a, b)))
         on_high_side = s_c0 > 0  # c = C1 rather than C2
         triple = center + radius if on_high_side else center - radius
         single = center - 3 * radius if on_high_side else center + 3 * radius
@@ -297,13 +310,16 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
     v, w = (-e - s) / 2.0, (-e + s) / 2.0
     values = [u, u, v, w]
     rs = root_set_from_values(values, [abs(qf(x)) for x in values], 4)
+    return rs, _pair_position(u, v, w)
+
+
+def _pair_position(u, v, w) -> DoublePairPosition:
+    """Where the double root u sits among the simple roots v, w."""
     if u < min(v, w):
-        position = DoublePairPosition.LOWEST_TWO
-    elif u > max(v, w):
-        position = DoublePairPosition.HIGHEST_TWO
-    else:
-        position = DoublePairPosition.MIDDLE_TWO
-    return rs, position
+        return DoublePairPosition.LOWEST_TWO
+    if u > max(v, w):
+        return DoublePairPosition.HIGHEST_TWO
+    return DoublePairPosition.MIDDLE_TWO
 
 
 def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassification:

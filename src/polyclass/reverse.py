@@ -25,9 +25,12 @@ from .poly import Quartic
 from .quartic import (
     DoublePairPosition,
     Nature,
+    _b_gap,
     _b_terms,
     _band_terms,
     _c0_terms,
+    _c_mid,
+    _pair_position,
     classify_quartic,
     quartic_thresholds,
 )
@@ -326,9 +329,9 @@ def _synthesize_exact(target: NatureTarget, rng: random.Random,
             b = 3 * a * a / 8 - _offset(target, rng)
         else:
             b = bq
-            if 3 * a * a - 8 * b <= 0:
+            if _b_gap(a, b) <= 0:
                 raise Unachievable("two double pairs need b < 3a^2/8")
-        c0 = -a ** 3 / 8 + a * b / 2
+        c0 = _c_mid(a, b)
         if cq is not None and cq != c0:
             raise Unachievable("two double pairs need c = C0 exactly")
         d = (b / 2 - a * a / 8) ** 2
@@ -340,13 +343,13 @@ def _synthesize_exact(target: NatureTarget, rng: random.Random,
             b = 3 * (a * a - t * t) / 8
         else:
             b = bq
-            t2 = (3 * a * a - 8 * b) / 3
+            t2 = _b_gap(a, b) / 3
             t = _rational_sqrt(t2)
             if t is None or t == 0:
                 raise Unachievable(
                     "exact triple-root synthesis needs (3a^2-8b)/3 to be a rational square"
                 )
-        c0 = -a ** 3 / 8 + a * b / 2
+        c0 = _c_mid(a, b)
         c_high, c_low = c0 + t ** 3 / 8, c0 - t ** 3 / 8
         if cq is None:
             c = c_high if target.strategy == "midpoint" or rng.random() < 0.5 else c_low
@@ -436,14 +439,6 @@ def _exact_double_pair(target: NatureTarget, a: Fraction, bq, cq,
             )
         u, v, w = found
     return Quartic(*_expand_double_pair(u, v, w))
-
-
-def _pair_position(u, v, w) -> DoublePairPosition:
-    if u < min(v, w):
-        return DoublePairPosition.LOWEST_TWO
-    if u > max(v, w):
-        return DoublePairPosition.HIGHEST_TWO
-    return DoublePairPosition.MIDDLE_TWO
 
 
 def _expand_double_pair(u, v, w):

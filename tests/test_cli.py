@@ -60,6 +60,15 @@ class TestClassifyCommand:
         assert data["arithmetic"] == "rational"
         assert data["roots"][0]["value"] == pytest.approx(-1.0)
 
+    def test_geometry_gate_matches_the_tetrahedron(self, capsys):
+        # 3a^2 - 8b rounds to a tiny positive value one way and to 0 the
+        # other; the report's geometry gate and tetrahedron_data must agree
+        code, out, _ = run(capsys, "classify", "--quartic",
+                           "-7.312715117751976", "20.05342589752436", "0", "0", "--json")
+        assert code == 2
+        data = json.loads(out)
+        assert data["classification"]["nature"] == "two_equal_real"
+
     def test_exact_rejects_decimals(self, capsys):
         code, _, err = run(capsys, "classify", "--quartic", "1", "0", "0", "0.5",
                            "--exact")

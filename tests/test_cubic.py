@@ -21,6 +21,8 @@ from polyclass import (
     viete_roots,
 )
 
+from polyclass.cubic import viete_values
+
 from conftest import cubic_coeffs_from_roots
 
 C1_SYMMETRIC = 2.0 / 27.0 * math.sqrt(27.0)  # thresholds of x^3 - x + c
@@ -96,6 +98,17 @@ class TestVieteRoots:
         # 27c overflows the arccos argument: no NaN root may come back
         with pytest.raises(OverflowError, match="overflow"):
             viete_roots(Cubic(0.0, 1.0, 1e307))
+
+    @pytest.mark.parametrize("c", [1e307, -1e307])
+    def test_overflowing_arccos_argument_keeps_the_one_real_branch(self, c):
+        # a^2 - 3b > 0 but 27c overflows the arccos numerator to +-inf; the
+        # quartic thresholds call viete_values after the verdict is decided
+        cu = Cubic(0.0, -1.0, c)
+        assert viete_values(cu)[0] == "one"
+        with pytest.raises(OutOfRange):
+            rotation_angle(cu)
+        with pytest.raises(OverflowError, match="overflow"):
+            viete_roots(cu)
 
     def test_derivative_cubic_of_worked_example(self):
         rs = viete_roots(Cubic(2.25, 1.0, -0.25))

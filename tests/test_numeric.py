@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyclass.numeric import Tolerance, is_exact
+from polyclass.numeric import Tolerance, _sum_left, is_exact, sum_terms
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
 fractions = st.fractions() | st.integers(-10**400, 10**400).map(Fraction)
@@ -57,6 +57,34 @@ def test_compare_terms_matches_separate_calls(terms, eps):
     tol = Tolerance(eps)
     terms = tuple(terms)
     assert outcome(tol.compare_terms, terms) == outcome(reference, tol, terms)
+
+
+def test_terms_are_summed_left_to_right():
+    # numpy's elementwise sums round after every term; a compensated sum
+    # (math.fsum, or sum() from Python 3.12) would return 1.0 here
+    terms = (1e16, 1.0, -1e16)
+    left = float(np.add(np.add(terms[0], terms[1]), terms[2]))
+    assert left == 0.0 and math.fsum(terms) == 1.0
+    assert sum_terms(terms) == _sum_left(terms) == left
+    assert Tolerance(0.0).compare_terms(terms)[:2] == (0, left)
+    assert Tolerance(0.0).sign_terms(terms) == 0
+    assert sum_terms(()) == _sum_left(()) == 0
+
+
+def left_to_right(terms):
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists)
+def test_sums_add_left_to_right(terms):
+    # sum_terms is sum() or _sum_left, whichever is left to right and faster
+    want = outcome(left_to_right, terms)
+    assert outcome(sum_terms, terms) == want
+    assert outcome(_sum_left, terms) == want
 
 
 def test_overflowing_float_terms_raise():
