@@ -12,10 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
-from .numeric import _OVERFLOW, DEFAULT_TOL, Tolerance, sum_terms
+from .numeric import _OVERFLOW, DEFAULT_TOL, Comparison, Tolerance, sum_terms
 from .poly import Cubic, RootSet, cubic_discriminant_terms, root_set_from_values
 
 SQRT3 = math.sqrt(3.0)
@@ -60,6 +60,22 @@ class CubicClassification:
     kind: CubicKind
     thresholds: Optional[CubicThresholds]
     triangle: Optional[TriangleData]
+    comparisons: Tuple[Comparison, ...]
+
+
+# --- the three sign predicates: terms whose sum has the sign of one comparison -------
+# the discriminant (positive iff c lies strictly inside (c2, c1)) is
+# poly.cubic_discriminant_terms
+
+def _gap_terms(cu):
+    # a^2 - 3b: positive iff the cubic has two distinct critical points
+    a = cu.a
+    return (a * a, -3 * cu.b)
+
+
+def _triple_terms(cu):
+    # 27 (c - a^3/27): with a^2 = 3b, zero iff -a/3 is a triple root
+    return (27 * cu.c, -cu.a ** 3)
 
 
 def _acos_numerator_terms(a, b, c):
@@ -67,43 +83,50 @@ def _acos_numerator_terms(a, b, c):
     return (2 * a ** 3, -9 * a * b, 27 * c)
 
 
-def cubic_thresholds(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicThresholds:
-    """The two free-term values where the discriminant vanishes (c1 > c2)."""
-    a, b = float(cu.a), float(cu.b)
-    s2 = a * a - 3.0 * b
-    if tol.sign_terms((cu.a * cu.a, -3 * cu.b)) <= 0:
-        raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0: no two distinct critical points")
-    c0 = -sum_terms(_acos_numerator_terms(a, b, 0.0)) / 27.0
-    half = 2.0 / 27.0 * math.sqrt(s2 ** 3)
-    return CubicThresholds(c0=c0, c1=c0 + half, c2=c0 - half)
-
-
 def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassification:
-    """Root-nature verdict from coefficient sign tests alone."""
-    s2_sign = tol.sign_terms((cu.a * cu.a, -3 * cu.b))
+    """Root-nature verdict from coefficient sign tests alone.
+
+    Each predicate (a^2 - 3b, the discriminant, c against a^3/27) is tested
+    at most once and recorded in ``comparisons``; the thresholds and the
+    triangle are built from those decisions.
+    """
+    comparisons: List[Comparison] = []
+
+    def sign(name: str, terms) -> int:
+        s, value, margin, fragile = tol.compare_terms(terms)
+        comparisons.append(Comparison(name, value, margin, fragile))
+        return s
+
+    kind, thresholds, triangle = CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None
+    s2_sign = sign("a2_vs_3b", _gap_terms(cu))
     if s2_sign > 0:
-        disc_sign = tol.sign_terms(cubic_discriminant_terms(cu))
-        thresholds = cubic_thresholds(cu, tol)
-        if disc_sign > 0:
-            kind = CubicKind.THREE_DISTINCT_REAL
-        elif disc_sign == 0:
-            kind = CubicKind.DOUBLE_PLUS_SINGLE
-        else:
-            kind = CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
-        triangle = None
-        if kind is not CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR:
+        disc_sign = sign("c_band_via_disc", cubic_discriminant_terms(cu))
+        a, b = float(cu.a), float(cu.b)
+        s2 = a * a - 3.0 * b
+        c0 = -sum_terms(_acos_numerator_terms(a, b, 0.0)) / 27.0
+        half = 2.0 / 27.0 * math.sqrt(s2 ** 3)
+        thresholds = CubicThresholds(c0=c0, c1=c0 + half, c2=c0 - half)
+        if disc_sign >= 0:
+            kind = (CubicKind.THREE_DISTINCT_REAL if disc_sign > 0
+                    else CubicKind.DOUBLE_PLUS_SINGLE)
             try:
-                triangle = triangle_data(cu, tol)
+                triangle = _triangle(a, b, float(cu.c), s2, tol)
             except NoTriangle:
                 # boundary verdict whose triangle degenerates below resolution
                 triangle = None
-        return CubicClassification(kind=kind, thresholds=thresholds, triangle=triangle)
-    if s2_sign == 0:
+    elif s2_sign == 0 and sign("c_vs_a3_over_27", _triple_terms(cu)) == 0:
         # degenerate triangle; triple root only if c sits exactly at a^3/27
-        if tol.sign_terms((27 * cu.c, -cu.a ** 3)) == 0:
-            return CubicClassification(CubicKind.TRIPLE_REAL, None, None)
-        return CubicClassification(CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None)
-    return CubicClassification(CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None)
+        kind = CubicKind.TRIPLE_REAL
+    return CubicClassification(kind, thresholds, triangle, tuple(comparisons))
+
+
+def cubic_thresholds(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicThresholds:
+    """The two free-term values where the discriminant vanishes (c1 > c2)."""
+    cls = classify_cubic(cu, tol)
+    if cls.thresholds is None:
+        s2 = cls.comparisons[0].value
+        raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0: no two distinct critical points")
+    return cls.thresholds
 
 
 def _acos_argument(a: float, b: float, c: float, s2: float,
@@ -126,6 +149,49 @@ def _acos_argument(a: float, b: float, c: float, s2: float,
     return w, tol.sign_terms((s * t1, s * t2, s * t3, -denom)) > 0
 
 
+def _angle(w: float) -> float:
+    """The rotation angle theta in [0, pi/3] for an arccos argument |w| <= 1 + eps."""
+    return math.acos(max(-1.0, min(1.0, w))) / 3.0
+
+
+def _three_roots(third, amp, theta, cos=math.cos):
+    """The trigonometric roots at rotation angle theta, x1 >= x2 >= x3 when real."""
+    return [
+        third + amp * cos(theta),
+        third - amp * cos(theta + math.pi / 3.0),
+        third - amp * cos(theta - math.pi / 3.0),
+    ]
+
+
+def _triangle(a: float, b: float, c: float, s2: float, tol: Tolerance) -> TriangleData:
+    """The vertex triangle once a^2 - 3b > 0 and a discriminant >= 0 are decided."""
+    r = math.sqrt(s2) / 3.0
+    third = -a / 3.0
+    w, outside = _acos_argument(a, b, c, s2, tol)
+    if outside:
+        raise NoTriangle("trigonometric branch did not yield three real roots")
+    theta = _angle(w)
+    x1, x2, x3 = sorted(_three_roots(third, 2.0 / 3.0 * math.sqrt(s2), theta), reverse=True)
+    return TriangleData(
+        centroid_x=third,
+        incircle_radius=r,
+        side=math.sqrt(12.0) * r,
+        theta=theta,
+        mu1=third + r,
+        mu2=third - r,
+        nu1=third + SQRT3 * r,
+        nu2=third,
+        nu3=third - SQRT3 * r,
+        xi1=third - 2.0 * r,
+        xi2=third + 2.0 * r,
+        vertices=(
+            (x1, (x2 - x3) / SQRT3),
+            (x2, (x3 - x1) / SQRT3),
+            (x3, (x1 - x2) / SQRT3),
+        ),
+    )
+
+
 def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
     """Raw trigonometric root values.
 
@@ -135,42 +201,27 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
     """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
-    s2_sign = tol.sign_terms((cu.a * cu.a, -3 * cu.b))
+    s2_sign = tol.sign_terms(_gap_terms(cu))
     if s2_sign != 0 and 2.0 * math.sqrt(abs(s2)) ** 3 == 0.0:
         s2_sign = 0  # nonzero but below float resolution: degenerate triangle
     third = -a / 3.0
     if s2_sign == 0:
         shift = c - a ** 3 / 27.0
-        if tol.sign_terms((27 * cu.c, -cu.a ** 3)) == 0:
+        if tol.sign_terms(_triple_terms(cu)) == 0:
             return "triple", third
         return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)
         w, outside = _acos_argument(a, b, c, s2, tol)
         if not outside:
-            theta = math.acos(max(-1.0, min(1.0, w))) / 3.0
-            x1 = third + amp * math.cos(theta)
-            x2 = third - amp * math.cos(theta + math.pi / 3.0)
-            x3 = third - amp * math.cos(theta - math.pi / 3.0)
-            return "three", [x1, x2, x3]
-        theta = cmath.acos(complex(w)) / 3.0
-        candidates = [
-            third + amp * cmath.cos(theta),
-            third - amp * cmath.cos(theta + math.pi / 3.0),
-            third - amp * cmath.cos(theta - math.pi / 3.0),
-        ]
+            return "three", _three_roots(third, amp, _angle(w))
+        candidates = _three_roots(third, amp, cmath.acos(complex(w)) / 3.0, cmath.cos)
     else:
         # mirrored formulas: inverted radical signs, and the product relation
         # flips the arccos argument sign as well
         s = cmath.sqrt(complex(s2))
-        amp = 2.0 / 3.0 * s
         w = sum_terms(_acos_numerator_terms(a, b, c)) / (2.0 * s ** 3)
-        theta = cmath.acos(w) / 3.0
-        candidates = [
-            third - amp * cmath.cos(theta),
-            third + amp * cmath.cos(theta + math.pi / 3.0),
-            third + amp * cmath.cos(theta - math.pi / 3.0),
-        ]
+        candidates = _three_roots(third, -(2.0 / 3.0 * s), cmath.acos(w) / 3.0, cmath.cos)
     real = min(candidates, key=lambda z: abs(z.imag))
     return "one", real.real
 
@@ -197,49 +248,20 @@ def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:
     """Triangle rotation angle in [0, pi/3]; 0 at c=c2, pi/6 at c=c0, pi/3 at c=c1."""
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
-    if tol.sign_terms((cu.a * cu.a, -3 * cu.b)) <= 0:
+    if tol.sign_terms(_gap_terms(cu)) <= 0:
         raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0")
     w, outside = _acos_argument(a, b, c, s2, tol)
     if outside:
         raise OutOfRange(f"arccos argument {w!r} outside [-1, 1]: free term outside band")
-    return math.acos(max(-1.0, min(1.0, w))) / 3.0
+    return _angle(w)
 
 
 def triangle_data(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> TriangleData:
     """All triangle landmarks; requires three real roots, not all equal."""
-    cls_kind = None
-    s2_sign = tol.sign_terms((cu.a * cu.a, -3 * cu.b))
-    if s2_sign <= 0:
-        raise NoTriangle("a^2 - 3b <= 0: the triangle degenerates")
-    disc_sign = tol.sign_terms(cubic_discriminant_terms(cu))
-    if disc_sign < 0:
-        raise NoTriangle("only one real root: no triangle")
-    a, b = float(cu.a), float(cu.b)
-    s2 = a * a - 3.0 * b
-    r = math.sqrt(s2) / 3.0
-    third = -a / 3.0
-    kind, payload = viete_values(cu, tol)
-    if kind != "three":
-        raise NoTriangle("trigonometric branch did not yield three real roots")
-    x1, x2, x3 = sorted(payload, reverse=True)
-    return TriangleData(
-        centroid_x=third,
-        incircle_radius=r,
-        side=math.sqrt(12.0) * r,
-        theta=rotation_angle(cu, tol),
-        mu1=third + r,
-        mu2=third - r,
-        nu1=third + SQRT3 * r,
-        nu2=third,
-        nu3=third - SQRT3 * r,
-        xi1=third - 2.0 * r,
-        xi2=third + 2.0 * r,
-        vertices=(
-            (x1, (x2 - x3) / SQRT3),
-            (x2, (x3 - x1) / SQRT3),
-            (x3, (x1 - x2) / SQRT3),
-        ),
-    )
+    cls = classify_cubic(cu, tol)
+    if cls.triangle is None:
+        raise NoTriangle(f"no vertex triangle: {cls.kind.value}")
+    return cls.triangle
 
 
 @dataclass(frozen=True)

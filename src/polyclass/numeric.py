@@ -81,6 +81,16 @@ def parse_number(text: str, exact: bool) -> Number:
     return float(text)
 
 
+@dataclass(frozen=True)
+class Comparison:
+    """One threshold decision: signed margin in tolerance units (value - threshold)."""
+
+    name: str
+    value: float
+    margin_units: float
+    fragile: bool
+
+
 _OVERFLOW = ("coefficient magnitudes overflow the threshold expression; "
              "rescale the polynomial or use exact (Fraction) coefficients")
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from .cubic import viete_values
-from .numeric import DEFAULT_TOL, Number, Tolerance, sum_terms
+from .numeric import DEFAULT_TOL, Comparison, Number, Tolerance, sum_terms
 from .poly import (
     Cubic,
     Quartic,
@@ -75,16 +75,6 @@ _ZERO_DISC_NATURES = {
     Nature.TRIPLE_PLUS_SINGLE,
     Nature.QUADRUPLE_ROOT,
 }
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """One threshold decision: signed margin in tolerance units (value - threshold)."""
-
-    name: str
-    value: float
-    margin_units: float
-    fragile: bool
 
 
 @dataclass(frozen=True)

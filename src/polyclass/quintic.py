@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DegenerateAtBoundary
-from .numeric import DEFAULT_TOL, Tolerance, is_exact
+from .numeric import DEFAULT_TOL, Tolerance
 from .oracle import DEFAULT_CONFIG, OracleConfig, solve
-from .poly import Quartic
+from .poly import Quartic, _lift
 from .quartic import NATURE_STRUCTURE, classify_quartic
-
-
-def _lift(v):
-    return Fraction(v) if is_exact(v) else float(v)
 
 
 @dataclass(frozen=True)

@@ -81,3 +81,18 @@ def rng():
     import numpy as np
 
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def sign_tests(monkeypatch):
+    """The Tolerance sign tests made while the test runs, by method name."""
+    from polyclass.numeric import Tolerance
+
+    calls = []
+    for name in ("sign_terms", "compare_terms"):
+        def counted(self, terms, _name=name, _original=getattr(Tolerance, name)):
+            calls.append(_name)
+            return _original(self, terms)
+
+        monkeypatch.setattr(Tolerance, name, counted)
+    return calls

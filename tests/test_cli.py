@@ -95,10 +95,35 @@ class TestClassifyCommand:
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
     def test_cubic_overflow_is_an_error_report(self, capsys):
-        # 27c overflows: the margin of the c-vs-a^3/27 comparison is not finite
+        # 27c overflows the arccos argument: the trigonometric root is not finite
         code, out, _ = run(capsys, "classify", "--cubic", "0", "1", "1e307", "--json")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "OverflowError"
+
+    @pytest.mark.parametrize("coeffs", [
+        ("0", "1", "0"), ("-3", "4", "-1"), ("0", "2", "0"),
+        ("0", "3", "0"), ("0", "4", "0"), ("3", "4", "1"),
+    ])
+    def test_cubic_without_critical_points_is_not_fragile(self, capsys, coeffs):
+        # a^2 - 3b < 0 decides one real root; c = a^3/27 is never consulted
+        code, out, _ = run(capsys, "classify", "--cubic", *coeffs, "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["fragile"] is False
+        assert [a["name"] for a in data["audit"]] == ["a2_vs_3b"]
+
+    def test_cubic_fragile_text_names_the_comparisons(self, capsys):
+        code, out, _ = run(capsys, "classify", "--cubic", "0", "0", "0")
+        assert code == 2
+        assert "boundary-fragile comparisons: a2_vs_3b, c_vs_a3_over_27" in out
+
+    def test_cubic_report_reuses_the_classification(self, sign_tests):
+        from polyclass import cli
+
+        cli.cmd_classify({"cubic": ["0", "-3", "1"]})
+        # classify (2), viete_roots (1), isolation (3); 15 when the report
+        # and every reader tested the predicates again
+        assert len(sign_tests) <= 6
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.9288",

@@ -1,6 +1,7 @@
 """Cubic classification, trigonometric roots, triangle landmarks, isolation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from polyclass import (
     viete_roots,
 )
 
+from polyclass import numeric, quartic
 from polyclass.cubic import viete_values
 
 from conftest import cubic_coeffs_from_roots
@@ -87,6 +89,52 @@ class TestClassify:
         # a^2 = 3b with c off the triple point has a single real root
         assert (classify_cubic(Cubic(3.0, 3.0, 7.0)).kind
                 is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR)
+
+
+class TestComparisons:
+    """classify_cubic tests each predicate once; the readers reuse its decisions."""
+
+    def test_each_decision_is_recorded_once(self, sign_tests):
+        cls = classify_cubic(Cubic(0, -3, 1))
+        names = [c.name for c in cls.comparisons]
+        assert names == ["a2_vs_3b", "c_band_via_disc"]
+        assert sign_tests == ["compare_terms", "compare_terms"]
+
+    @pytest.mark.parametrize("coeffs, names", [
+        ((0, 1, 0), ["a2_vs_3b"]),
+        ((3, 3, 7), ["a2_vs_3b", "c_vs_a3_over_27"]),
+        ((-3, 3, -1), ["a2_vs_3b", "c_vs_a3_over_27"]),
+        ((0, -1, 5), ["a2_vs_3b", "c_band_via_disc"]),
+    ])
+    def test_comparisons_follow_the_decision_path(self, coeffs, names):
+        cls = classify_cubic(Cubic(*coeffs))
+        assert [c.name for c in cls.comparisons] == names
+        assert cls.comparisons[-1].fragile == (cls.kind is CubicKind.TRIPLE_REAL)
+
+    def test_isolation_reads_the_classification(self, sign_tests):
+        cu = Cubic(0, -3, 1)
+        classify_cubic(cu)
+        cubic_isolation_intervals(cu)
+        # two classifications and the low/high branch test (12 when each
+        # reader tested the predicates again)
+        assert len(sign_tests) <= 5
+
+    def test_readers_return_the_classification_fields(self):
+        for cu in (Cubic(0.0, -1.0, 0.0), Cubic(2.25, 1.0, -0.25),
+                   Cubic(0.0, -1.0, C1_SYMMETRIC)):
+            cls = classify_cubic(cu)
+            assert triangle_data(cu) == cls.triangle
+            assert cubic_thresholds(cu) == cls.thresholds
+            assert cls.triangle.theta == rotation_angle(cu)
+
+    def test_comparison_is_shared_with_the_quartic(self):
+        assert quartic.Comparison is numeric.Comparison
+
+    def test_fraction_beyond_float_range_raises_overflow(self):
+        # a^2 - 3b = -3e400 is decided exactly, but its recorded value and
+        # margin are floats: compare_terms refuses, as in classify_quartic
+        with pytest.raises(OverflowError):
+            classify_cubic(Cubic(Fraction(0), Fraction(10 ** 400), Fraction(0)))
 
 
 class TestVieteRoots:
