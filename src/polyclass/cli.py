@@ -213,7 +213,7 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
     if cls.triangle is not None:
         theta = cls.triangle.theta
         triangle = dict(vars(cls.triangle))
-        iso = cubic_mod.cubic_isolation_intervals(cu, tol)
+        iso = cubic_mod._isolation(cu, cls.triangle, tol)
         isolation = {"branch": iso.branch,
                      "intervals": [list(i) for i in iso.intervals]}
     data = {

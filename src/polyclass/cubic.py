@@ -196,8 +196,8 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
     """Raw trigonometric root values.
 
     Returns ``("three", [x1, x2, x3])`` in descending order x1 >= x2 >= x3
-    when the rotation angle is real, otherwise ``("one", x, pair)`` where x is
-    the single real root.
+    when the rotation angle is real, ``("triple", x)`` for a triple root x,
+    otherwise ``("one", x)`` where x is the single real root.
     """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
@@ -274,7 +274,11 @@ class CubicIsolation:
 
 def cubic_isolation_intervals(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicIsolation:
     """Landmark intervals containing the sorted real roots (smallest first)."""
-    tri = triangle_data(cu, tol)
+    return _isolation(cu, triangle_data(cu, tol), tol)
+
+
+def _isolation(cu: Cubic, tri: TriangleData, tol: Tolerance) -> CubicIsolation:
+    """The isolation intervals from the cubic's vertex triangle."""
     third = tri.centroid_x
     if tol.sign_terms(_acos_numerator_terms(cu.a, cu.b, cu.c)) <= 0:
         intervals = (

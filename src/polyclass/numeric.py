@@ -128,14 +128,13 @@ class Tolerance:
         Fractions beyond the float range raise OverflowError here.
         """
         total = sum_terms(terms)
+        if is_exact(total):
+            return _compare_exact(self, total, max(map(abs, terms), default=0))
         value = float(total)
         scale = max((abs(float(t)) for t in terms), default=0.0)
-        margin = self.margin(value, scale)
-        if is_exact(total):
-            s = (total > 0) - (total < 0)
-            return s, value, margin, s == 0
         if not math.isfinite(value) or not math.isfinite(scale):
             raise OverflowError(_OVERFLOW)
+        margin = self.margin(value, scale)
         return self.sign(value, scale), value, margin, abs(margin) < 10.0
 
     def sign(self, value: Number, scale: float) -> int:
@@ -155,6 +154,23 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _compare_exact(tol: Tolerance, total, largest, den: int = 1) -> Tuple[int, float, float, bool]:
+    """``Tolerance.compare_terms`` on exact terms t_i / den, given their sum and max |t_i|.
+
+    The terms may be ints over a common ``den`` (a weighted-homogeneous
+    predicate at integer lattice coefficients) or, with den = 1, any
+    rationals.  int / int and ``float(Fraction)`` both round correctly, so
+    value and margin equal those of the terms divided out; beyond the float
+    range both raise OverflowError.
+    """
+    if den == 1:
+        value, scale = float(total), float(largest)
+    else:
+        value, scale = total / den, largest / den
+    s = (total > 0) - (total < 0)
+    return s, value, tol.margin(value, scale), s == 0
 
 
 def sort_key_complex(z: complex):

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from .cubic import viete_values
-from .numeric import DEFAULT_TOL, Comparison, Number, Tolerance, sum_terms
+from .numeric import (
+    _OVERFLOW,
+    DEFAULT_TOL,
+    Comparison,
+    Number,
+    Tolerance,
+    _compare_exact,
+    sum_terms,
+)
 from .poly import (
     Cubic,
     Quartic,
@@ -100,10 +108,20 @@ class QuarticClassification:
     case: ClassificationCase
     nature: Nature
     position: Optional[DoublePairPosition]
-    thresholds: QuarticThresholds
     closed_form_roots: Optional[RootSet]
     comparisons: Tuple[Comparison, ...]
     eps: float
+    _source: Tuple[Quartic, Tolerance] = field(compare=False, repr=False)
+
+    @property
+    def thresholds(self) -> QuarticThresholds:
+        """quartic_thresholds of the classified quartic, built on first read."""
+        # cached by hand: before Python 3.12 functools.cached_property takes a
+        # lock on every first read, a cost a float classify report can measure
+        thr = self.__dict__.get("_thresholds")
+        if thr is None:
+            thr = self.__dict__["_thresholds"] = quartic_thresholds(*self._source)
+        return thr
 
 
 @dataclass(frozen=True)
@@ -210,6 +228,53 @@ _ON_COEFFS = {
 #: comparison name -> terms at (A, B, C, d) of the d-cubic
 _ON_D_CUBIC = {"d_vs_d_tilde": _d_vs_tilde_terms, "d_vs_d_dagger": _d_vs_dagger_terms}
 
+#: comparison name -> weight w of its predicate: every term at (la, l^2 b, l^3 c, l^4 d)
+#: is l^w times the term at (a, b, c, d)
+_WEIGHT = {
+    "b_vs_3a2_over_8": 2,
+    "c_vs_C0": 3,
+    "c_band": 6,
+    "d_vs_d0_via_disc": 12,
+    "d_vs_droots_via_disc": 12,
+    "disc_d_slope": 8,
+    "disc_d_curvature": 4,
+    "d_vs_a4_over_256": 4,
+}
+
+
+def _lattice(q: Quartic):
+    """For all-rational q, the ints (la, l^2 b, l^3 c, l^4 d) and l, the lcm of the
+    denominators; None when a coefficient is a float.
+
+    Every coefficient predicate is weighted-homogeneous, so its sign at q is
+    its sign at the lattice point, and its terms there are ints.
+    """
+    coeffs = (q.a, q.b, q.c, q.d)
+    if float in map(type, coeffs):  # a Quartic holds floats and rationals only
+        return None
+    # int(): numpy integers are rational too, and their products would wrap
+    lam = math.lcm(*(int(v.denominator) for v in coeffs))
+    ints, power = [], 1
+    for v in coeffs:
+        power *= lam
+        ints.append(int(v.numerator) * (power // int(v.denominator)))
+    return _Coeffs(*ints), lam
+
+
+def _int_sign(terms) -> int:
+    total = sum(terms)
+    return (total > 0) - (total < 0)
+
+
+def _sign_test(q: Quartic, tol: Tolerance):
+    """(point, sign): ``sign(terms(point))`` is the sign at q of the coefficient
+    predicate ``terms`` (a function in _ON_COEFFS), exact on the lattice for
+    rational q and tolerance-guarded for floats."""
+    lattice = _lattice(q)
+    if lattice is None:
+        return q, tol.sign_terms
+    return lattice[0], _int_sign
+
 
 def delta3_expanded(q: Quartic):
     """Discriminant of the d-cubic, straight from its closed form."""
@@ -241,29 +306,45 @@ def _d_dagger_tilde(A, B, C):
     return dag, -A - 2 * dag
 
 
-def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
-    """Thresholds on c and d; rationally computable fields stay exact for exact input."""
-    a, b = _lift(q.a), _lift(q.b)
-    A, B, C = _d_cubic(a, b, _lift(q.c))
+def _c_thresholds(a, b, s_b: int):
+    """C0, and the band edges C1 > C2 as floats when s_b < 0 (b < 3a^2/8), else None."""
     c0 = _c_mid(a, b)
-    s_b = tol.sign_terms(_b_terms(q))
-    c_hi = c_lo = None
-    if s_b < 0:
-        half = math.sqrt(3.0) / 72.0 * math.sqrt(float(_b_gap(a, b)) ** 3)
-        c_hi, c_lo = float(c0) + half, float(c0) - half
-    s_c0 = tol.sign_terms(_c0_terms(q))
-    s_band = tol.sign_terms(_band_terms(q))
-    abc = (A, B, C)
+    if s_b >= 0:
+        return c0, None, None
+    half = math.sqrt(3.0) / 72.0 * math.sqrt(float(_b_gap(a, b)) ** 3)
+    return c0, float(c0) + half, float(c0) - half
+
+
+def _require_finite(values) -> None:
+    """OverflowError when a float among values is not finite; rationals and None pass."""
+    for v in values:
+        if type(v) is float and not math.isfinite(v):
+            raise OverflowError(_OVERFLOW)
+
+
+def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
+    """Thresholds on c and d; rationally computable fields stay exact for exact input.
+
+    Raises OverflowError when a float threshold would not be finite.
+    """
+    a, b = _lift(q.a), _lift(q.b)
+    abc = A, B, C = _d_cubic(a, b, _lift(q.c))
+    _require_finite(abc)
+    point, sign = _sign_test(q, tol)
+    s_b, s_c0, s_band = sign(_b_terms(point)), sign(_c0_terms(point)), sign(_band_terms(point))
+    c0, c_hi, c_lo = _c_thresholds(a, b, s_b)
+    d_roots, dag, til = (), None, None
     if s_b == 0 and s_c0 == 0:
         d0 = -sum_terms(_d_quad_terms(_Coeffs(a, b, 0, 0))) / 256
-        return QuarticThresholds(c0, c_hi, c_lo, abc, (d0,), None, d0)
-    if s_c0 == 0 or (s_b < 0 and s_band == 0):
+        d_roots, til = (d0,), d0
+    elif s_c0 == 0 or (s_b < 0 and s_band == 0):
         # repeated root of the d-cubic
         dag, til = _d_dagger_tilde(A, B, C)
-        return QuarticThresholds(c0, c_hi, c_lo, abc, (), dag, til)
-    kind, payload = viete_values(Cubic(float(A), float(B), float(C)), tol)
-    d_roots = tuple(sorted(payload, reverse=True)) if kind == "three" else (payload,)
-    return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, None, None)
+    else:
+        kind, payload = viete_values(Cubic(float(A), float(B), float(C)), tol)
+        d_roots = tuple(sorted(payload, reverse=True)) if kind == "three" else (payload,)
+    _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
+    return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
 
 
 def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
@@ -321,23 +402,27 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     comparisons: List[Comparison] = []
     signs = {}
     cubic = []  # (A, B, C, d), built for the first comparison on the d-cubic
+    lattice = _lattice(q)
 
     def sign(name: str) -> int:
         if name in _ON_D_CUBIC:
             if not cubic:
                 a, b, c, d = (_lift(v) for v in (q.a, q.b, q.c, q.d))
                 cubic.extend((*_d_cubic(a, b, c), d))
-            terms = _ON_D_CUBIC[name](*cubic)
+            s, value, margin, fragile = tol.compare_terms(_ON_D_CUBIC[name](*cubic))
+        elif lattice is None:
+            s, value, margin, fragile = tol.compare_terms(_ON_COEFFS[name](q))
         else:
-            terms = _ON_COEFFS[name](q)
-        s, value, margin, fragile = tol.compare_terms(terms)
+            point, lam = lattice
+            terms = _ON_COEFFS[name](point)
+            s, value, margin, fragile = _compare_exact(
+                tol, sum(terms), max(map(abs, terms)), lam ** _WEIGHT[name])
         comparisons.append(Comparison(name, value, margin, fragile))
         signs[name] = s
         return s
 
     case = _cascade(sign)
     nature, position = _CASE_TO_NATURE[case]
-    thresholds = quartic_thresholds(q, tol)
     closed = None
     if nature in _ZERO_DISC_NATURES:
         closed, computed_position = _closed_form_roots(nature, q, tol, signs["c_vs_C0"])
@@ -347,10 +432,10 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
         case=case,
         nature=nature,
         position=position,
-        thresholds=thresholds,
         closed_form_roots=closed,
         comparisons=tuple(comparisons),
         eps=tol.eps,
+        _source=(q, tol),
     )
 
 

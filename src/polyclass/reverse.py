@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance
-from .poly import Quartic
+from .poly import Quartic, _lift
 from .quartic import (
     DoublePairPosition,
     Nature,
@@ -30,7 +30,9 @@ from .quartic import (
     _band_terms,
     _c0_terms,
     _c_mid,
+    _c_thresholds,
     _pair_position,
+    _sign_test,
     classify_quartic,
     quartic_thresholds,
 )
@@ -88,11 +90,15 @@ def admissible_b_range(a, nature: Nature, tol: Tolerance = DEFAULT_TOL) -> Admis
     return Admissible(intervals=(((thr, None)),))
 
 
-def _require_triangle(q: Quartic, tol: Tolerance, nature: Nature):
-    if tol.sign_terms(_b_terms(q)) >= 0:
+def _require_triangle(q: Quartic, tol: Tolerance, nature: Nature) -> int:
+    """The sign of b - 3a^2/8, which the nature needs negative."""
+    point, sign = _sign_test(q, tol)
+    s_b = sign(_b_terms(point))
+    if s_b >= 0:
         raise Unachievable(
             f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(q.a):.6g}, got b = {float(q.b):.6g}"
         )
+    return s_b
 
 
 def admissible_c_range(a, b, nature: Nature,
@@ -101,14 +107,14 @@ def admissible_c_range(a, b, nature: Nature,
     """Admissible linear coefficients once a and b are fixed."""
     q0 = Quartic(a, b, 0, 0)
     if nature is Nature.QUADRUPLE_ROOT:
-        if tol.sign_terms(_b_terms(q0)) != 0:
+        point, sign = _sign_test(q0, tol)
+        if sign(_b_terms(point)) != 0:
             raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
         return Admissible(points=(float(a) ** 3 / 16.0,))
     if nature in (Nature.NO_REAL, Nature.TWO_EQUAL_REAL, Nature.TWO_DISTINCT_REAL):
         return Admissible(intervals=((None, None),))
-    _require_triangle(q0, tol, nature)
-    thr = quartic_thresholds(q0, tol)
-    c_lo, c_hi, c_mid = thr.c_lo, thr.c_hi, thr.c_mid
+    s_b = _require_triangle(q0, tol, nature)
+    c_mid, c_hi, c_lo = _c_thresholds(_lift(q0.a), _lift(q0.b), s_b)
     if nature is Nature.FOUR_DISTINCT_REAL:
         return Admissible(intervals=((c_lo, c_hi),))
     if nature is Nature.TWO_DOUBLE_PAIRS:
@@ -130,10 +136,10 @@ def admissible_d_range(a, b, c, nature: Nature,
     """Admissible free terms once a, b, c are fixed."""
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
-    s_b_rel = tol.sign_terms(_b_terms(q0))
-    s_c0 = tol.sign_terms(_c0_terms(q0))
+    point, sign = _sign_test(q0, tol)
+    s_b_rel, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
     # the band [C2, C1] exists only below b = 3a^2/8
-    s_band = tol.sign_terms(_band_terms(q0)) if s_b_rel < 0 else 1
+    s_band = sign(_band_terms(point)) if s_b_rel < 0 else 1
     on_band_edge = s_band == 0
     inside_band = s_band < 0
 

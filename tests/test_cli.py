@@ -94,6 +94,15 @@ class TestClassifyCommand:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
+    def test_overflowed_thresholds_are_an_error_report(self, capsys):
+        # (x - 1.5 * 2^90)^4: the classification answers (flagged), but the
+        # d-cubic's C overflows to NaN, and the report reads the thresholds
+        s, r = 2.0 ** 90, 1.5
+        coeffs = (-4 * r * s, 6 * r * r * s ** 2, -4 * r ** 3 * s ** 3, r ** 4 * s ** 4)
+        code, out, _ = run(capsys, "classify", "--quartic", *map(repr, coeffs), "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+
     def test_cubic_overflow_is_an_error_report(self, capsys):
         # 27c overflows the arccos argument: the trigonometric root is not finite
         code, out, _ = run(capsys, "classify", "--cubic", "0", "1", "1e307", "--json")
@@ -121,9 +130,10 @@ class TestClassifyCommand:
         from polyclass import cli
 
         cli.cmd_classify({"cubic": ["0", "-3", "1"]})
-        # classify (2), viete_roots (1), isolation (3); 15 when the report
-        # and every reader tested the predicates again
-        assert len(sign_tests) <= 6
+        # classify (2), viete_roots (1), the isolation branch (1); 15 when the
+        # report and every reader tested the predicates again, 6 when the
+        # isolation classified the cubic a second time
+        assert len(sign_tests) <= 4
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.9288",

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyclass import (
     ClassificationCase,
@@ -24,6 +26,7 @@ from polyclass import (
     solve,
     sturm_constants,
 )
+from polyclass import quartic as quartic_mod
 from polyclass.quartic import NATURE_STRUCTURE
 
 from conftest import eval_scale, quartic_coeffs_from_roots
@@ -431,3 +434,143 @@ class TestFloatVsExactAgreement:
     def test_overflowing_coefficients_raise(self):
         with pytest.raises(OverflowError):
             classify_quartic(Quartic(1e200, 1.0, 1.0, 1e200))
+
+
+def _quadruple_scaled(r: float, k: int) -> Quartic:
+    """(x - r 2^k)^4: a quadruple root weighted-scaled by 2^k."""
+    s = 2.0 ** k
+    return Quartic(-4 * r * s, 6 * r * r * s ** 2, -4 * r ** 3 * s ** 3, r ** 4 * s ** 4)
+
+
+class TestLazyThresholds:
+    def test_built_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = quartic_mod.quartic_thresholds
+
+        def counted(q, tol=quartic_mod.DEFAULT_TOL):
+            calls.append(q)
+            return original(q, tol)
+
+        monkeypatch.setattr(quartic_mod, "quartic_thresholds", counted)
+        tol = Tolerance(1e-7)
+        for q in (EX1, EX2, Quartic(Fraction(3), Fraction(2), Fraction(-1), Fraction(-19, 20))):
+            calls.clear()
+            cls = classify_quartic(q, tol)
+            assert calls == []
+            first = cls.thresholds
+            assert calls == [q]
+            assert cls.thresholds is first
+            assert calls == [q]
+            assert first == original(q, tol)
+
+    def test_not_a_constructor_field(self):
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(quartic_mod.QuarticClassification)]
+        assert "thresholds" not in names
+        # the classified quartic rides along without entering equality or repr
+        cls = classify_quartic(EX1)
+        assert "_source" not in repr(cls)
+        assert cls == classify_quartic(EX1)
+
+    @pytest.mark.parametrize("k", [84, 90, 100])
+    def test_overflowed_thresholds_raise(self, k):
+        # the d-cubic's C overflows to NaN for these scales
+        with pytest.raises(OverflowError):
+            quartic_thresholds(_quadruple_scaled(1.5, k))
+
+    @pytest.mark.parametrize("k", [84, 90, 100])
+    def test_classification_without_thresholds_still_answers(self, k):
+        cls = classify_quartic(_quadruple_scaled(1.5, k))
+        assert cls.nature is Nature.QUADRUPLE_ROOT
+        assert any(c.fragile for c in cls.comparisons)
+        with pytest.raises(OverflowError):
+            cls.thresholds
+
+
+#: coefficients with denominators up to 10^6, and roots that repeat often
+coefficient_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=10 ** 6)
+small_roots = st.sampled_from([Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 7)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[coefficient_fractions] * 4),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000))
+def test_coefficient_predicates_are_weighted_homogeneous(coeffs, lam):
+    assert set(quartic_mod._WEIGHT) == set(quartic_mod._ON_COEFFS)
+    a, b, c, d = coeffs
+    q = Quartic(a, b, c, d)
+    scaled = Quartic(lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
+    for name, weight in quartic_mod._WEIGHT.items():
+        terms = quartic_mod._ON_COEFFS[name]
+        assert terms(scaled) == tuple(lam ** weight * t for t in terms(q)), name
+
+
+def _reference_compare(tol, terms):
+    """The exact comparison as a sum of Fraction terms, converted to float."""
+    total = sum(terms)
+    value = float(total)
+    scale = max((abs(float(t)) for t in terms), default=0.0)
+    s = (total > 0) - (total < 0)
+    return s, value, tol.margin(value, scale), s == 0
+
+
+def _reference_classify(q, tol):
+    """Case and comparisons of classify_quartic, every predicate on Fraction terms."""
+    qf = Quartic(*(Fraction(v) for v in (q.a, q.b, q.c, q.d)))
+    d_cubic = (*quartic_mod._d_cubic(qf.a, qf.b, qf.c), qf.d)
+    out = []
+
+    def sign(name):
+        if name in quartic_mod._ON_D_CUBIC:
+            terms = quartic_mod._ON_D_CUBIC[name](*d_cubic)
+        else:
+            terms = quartic_mod._ON_COEFFS[name](qf)
+        s, value, margin, fragile = _reference_compare(tol, terms)
+        out.append((name, value.hex(), margin.hex(), fragile))
+        return s
+
+    return quartic_mod._cascade(sign), out
+
+
+@st.composite
+def rational_quartics(draw):
+    """Rational quartics on and off the zero-discriminant strata, weighted-scaled by 2^k."""
+    kind = draw(st.sampled_from(["coefficients", "roots", "quadratics"]))
+    if kind == "coefficients":
+        a, b, c, d = (draw(coefficient_fractions) for _ in range(4))
+    elif kind == "roots":  # repeated rational roots put the quartic on a stratum
+        a, b, c, d = quartic_coeffs_from_roots(*(draw(small_roots) for _ in range(4)))
+    else:  # (x^2 + p x + r)(x^2 + s x + t): complex or double pairs
+        p, r = draw(small_roots), draw(small_roots)
+        s, t = draw(st.sampled_from([(p, r), (draw(small_roots), draw(small_roots))]))
+        a, b, c, d = p + s, r + t + p * s, p * t + r * s, r * t
+    lam = Fraction(2) ** draw(st.integers(-40, 40))
+    coeffs = (lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
+    if draw(st.booleans()):  # the same quartic on its integer lattice point
+        point, _ = quartic_mod._lattice(Quartic(*coeffs))
+        coeffs = tuple(point)
+    return Quartic(*coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_quartics(), st.sampled_from([1e-9, 1e-6]))
+def test_lattice_comparisons_equal_fraction_comparisons(q, eps):
+    tol = Tolerance(eps)
+    try:
+        case, expected = _reference_classify(q, tol)
+    except OverflowError:  # a comparison beyond the float range
+        with pytest.raises(OverflowError):
+            classify_quartic(q, tol)
+        return
+    cls = classify_quartic(q, tol)
+    assert cls.case is case
+    got = [(c.name, c.value.hex(), c.margin_units.hex(), c.fragile) for c in cls.comparisons]
+    assert got == expected
+
+
+def test_lattice_of_mixed_or_float_quartics_is_none():
+    assert quartic_mod._lattice(Quartic(1.0, 2, 3, 4)) is None
+    point, lam = quartic_mod._lattice(Quartic(Fraction(1, 2), 1, Fraction(1, 3), 0))
+    assert lam == 6
+    assert tuple(point) == (3, 36, 72, 0)

@@ -8,6 +8,7 @@ from polyclass import (
     DoublePairPosition,
     NatureTarget,
     Nature,
+    Quartic,
     Unachievable,
     admissible_b_range,
     admissible_c_range,
@@ -68,6 +69,26 @@ class TestAdmissibleC:
         high = admissible_c_range(0.0, -2.0, Nature.FOUR_REAL_DOUBLE_PAIR,
                                   DoublePairPosition.HIGHEST_TWO)
         assert low.intervals[0][1] == 0.0 and high.intervals[0][0] == 0.0
+
+    @pytest.mark.parametrize("a, b", [(3.0, 2.0), (Fraction(3), Fraction(2)),
+                                      (Fraction(-7, 3), Fraction(-5, 4))])
+    def test_builds_no_d_cubic(self, monkeypatch, a, b):
+        from polyclass import quartic
+
+        built = []
+        original = quartic._d_cubic
+        monkeypatch.setattr(quartic, "_d_cubic", lambda *abc: built.append(abc) or original(*abc))
+        q0 = Quartic(a, b, 0, 0)
+        thr = quartic.quartic_thresholds(q0)
+        built.clear()
+        for nature in (Nature.FOUR_DISTINCT_REAL, Nature.TWO_DOUBLE_PAIRS,
+                       Nature.TRIPLE_PLUS_SINGLE, Nature.FOUR_REAL_DOUBLE_PAIR):
+            admissible_c_range(a, b, nature)
+        assert built == []
+        # the c thresholds are those of quartic_thresholds
+        assert admissible_c_range(a, b, Nature.FOUR_DISTINCT_REAL).intervals == (
+            (thr.c_lo, thr.c_hi),)
+        assert admissible_c_range(a, b, Nature.TWO_DOUBLE_PAIRS).points == (thr.c_mid,)
 
     def test_unachievable_without_triangle(self):
         with pytest.raises(Unachievable):
