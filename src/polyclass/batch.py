@@ -21,12 +21,10 @@ from .numeric import MIN_NORMAL
 from .quartic import (
     _CASE_TO_NATURE,
     _ON_COEFFS,
-    _ON_D_CUBIC,
     ClassificationCase,
     Nature,
     _Coeffs,
     _cascade,
-    _d_cubic,
 )
 
 NATURE_BY_CODE: Tuple[Nature, ...] = (
@@ -52,9 +50,9 @@ NATURE_CODE_BY_CASE = np.array(
     [CODE_BY_NATURE[_CASE_TO_NATURE[case][0]] for case in CASE_BY_INDEX], dtype=np.int8)
 
 #: the nine predicates in key order: one term function each
-_PREDICATES = (*dict.fromkeys(_ON_COEFFS.values()), *_ON_D_CUBIC.values())
+_PREDICATES = tuple(dict.fromkeys(_ON_COEFFS.values()))
 #: comparison name -> predicate index (both discriminant names read one predicate)
-_INDEX = {name: _PREDICATES.index(fn) for name, fn in {**_ON_COEFFS, **_ON_D_CUBIC}.items()}
+_INDEX = {name: _PREDICATES.index(fn) for name, fn in _ON_COEFFS.items()}
 _N = len(_PREDICATES)
 
 
@@ -112,12 +110,10 @@ def _classify(a, b, c, d, eps: float) -> Tuple[np.ndarray, np.ndarray]:
     case_of, consulted = _tables()
     q = _Coeffs(*(np.asarray(x, dtype=np.float64) for x in (a, b, c, d)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cubic = (*_d_cubic(q.a, q.b, q.c), q.d)
         key = np.zeros(q.a.shape, dtype=np.intp)
         margins = []
-        for fn in _PREDICATES:
-            terms = fn(*cubic) if fn in _ON_D_CUBIC.values() else fn(q)
-            digit, margin = _sign_digit_and_margin(terms, eps)
+        for fn in _PREDICATES:  # q builds the d-cubic once, for the first predicate on it
+            digit, margin = _sign_digit_and_margin(fn(q), eps)
             key *= 3
             key += digit
             margins.append(margin)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import add
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -54,7 +54,8 @@ def as_float(value) -> float:
 
 def ensure_finite(name: str, value: Number) -> Number:
     if isinstance(value, Rational):
-        return value
+        # numpy integers are Integral too: as Python ints their products cannot wrap
+        return int(value) if isinstance(value, Integral) else value
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"coefficient {name!r} must be finite, got {value!r}")

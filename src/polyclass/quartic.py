@@ -13,6 +13,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from operator import rshift
 from typing import Callable, List, Optional, Tuple
 
 from .cubic import viete_values
@@ -89,9 +91,9 @@ _ZERO_DISC_NATURES = {
 class QuarticThresholds:
     """All free-term and linear-term thresholds of the classification.
 
-    Fields that are rational functions of the coefficients (c_mid, abc,
-    d_dagger, d_tilde and a triple d-root) stay Fractions for exact input;
-    the rest are floats.
+    For exact input the fields that are rational functions of the coefficients
+    (c_mid, abc, d_dagger, d_tilde and a triple d-root) are Fractions, each made
+    once from integers of the lattice point (see _lattice); the rest are floats.
     """
 
     c_mid: Number  # C0
@@ -135,11 +137,20 @@ class BoundaryAudit:
 
 
 # --- the nine sign predicates: terms whose sum has the sign of one comparison ---------
-# ``q`` is a Quartic or, in the batch classifier, a tuple of float64 arrays.  Only
-# + - * appear, so float and numpy round alike and Fraction or int input stays exact.
+# ``q`` is a _Coeffs point: coefficients without the Quartic checks (floats, Fractions,
+# the ints of a lattice point, float64 arrays, or a prefix padded with 0).  Only + - *
+# appear, so float and numpy round alike and Fraction or int input stays exact.
 
-#: coefficients without the Quartic checks: float64 arrays, or a prefix padded with 0
-_Coeffs = namedtuple("_Coeffs", "a b c d")
+class _Coeffs(namedtuple("_Coeffs", "a b c d")):
+    @property
+    def d_cubic(self):
+        """(A, B, C) of _d_cubic here, built on first read (cached by hand, as
+        QuarticClassification.thresholds)."""
+        abc = self.__dict__.get("_abc")
+        if abc is None:
+            abc = self.__dict__["_abc"] = _d_cubic(self.a, self.b, self.c)
+        return abc
+
 
 def _b_terms(q):
     # 8 (b - 3a^2/8)
@@ -179,85 +190,77 @@ def _d_quad_terms(q):
     return (256 * q.d, -(a * a * a * a))
 
 
-def _c_mid(a, b):
-    """C0 = -a^3/8 + ab/2, where the c_vs_C0 predicate vanishes."""
-    return -sum_terms(_c0_terms(_Coeffs(a, b, 0, 0))) / 8
+def _d_vs_tilde_terms(q):
+    # sign(d - d_tilde) scaled by A^2 - 3B > 0
+    (A, B, C), d = q.d_cubic, q.d
+    A2 = A * A
+    return (A2 * d, -3 * B * d, A2 * A, -4 * A * B, 9 * C)
 
 
-def _b_gap(a, b):
-    """3a^2 - 8b, the b_vs_3a2_over_8 predicate negated."""
-    return -sum_terms(_b_terms(_Coeffs(a, b, 0, 0)))
+def _d_vs_dagger_terms(q):
+    # sign(d - d_dagger) scaled by 2(A^2 - 3B) > 0
+    (A, B, C), d = q.d_cubic, q.d
+    return (2 * A * A * d, -6 * B * d, -9 * C, A * B)
 
 
 def _d_cubic(a, b, c):
     """Coefficients (A, B, C) of the monic cubic in d equal to disc/256.
 
-    The divisions make int input inexact: exact callers pass Fractions.
+    Every division is by a power of two, 2^k.  256 (A, B, C) have integer
+    coefficients (256A = -27a^4 + 144a^2 b - 192ac - 128b^2), so on a lattice point
+    (ints, carrying the factors 4, 16, 64 of _lattice) each quotient below is an
+    integer, which >> k takes exactly.  Floats, float arrays and Fractions divide.
     """
     a2, b2, c2, a3, b3, c3, a4, b4, c4 = _powers(a, b, c)
-    A = (-27 * a4 / 128 + 9 * a2 * b / 8 - 3 * a * c / 2 - b2) / 2
-    B = (9 * a3 * b * c / 8 - a2 * b3 / 4 - 3 * a2 * c2 / 8
-         - 5 * a * b2 * c + b4 + 9 * b * c2) / 16
-    C = (-a3 * c3 + a2 * b2 * c2 / 4 + 9 * a * b * c3 / 2
-         - b3 * c2 - 27 * c4 / 4) / 64
+    div = rshift if type(a) is int else _div
+    A = div(div(-27 * a4, 7) + div(9 * a2 * b, 3) - div(3 * a * c, 1) - b2, 1)
+    B = div(div(9 * a3 * b * c, 3) - div(a2 * b3, 2) - div(3 * a2 * c2, 3)
+            - 5 * a * b2 * c + b4 + 9 * b * c2, 4)
+    C = div(-a3 * c3 + div(a2 * b2 * c2, 2) + div(9 * a * b * c3, 1)
+            - b3 * c2 - div(27 * c4, 2), 6)
     return A, B, C
 
 
-def _d_vs_tilde_terms(A, B, C, d):
-    # sign(d - d_tilde) scaled by A^2 - 3B > 0
-    A2 = A * A
-    return (A2 * d, -3 * B * d, A2 * A, -4 * A * B, 9 * C)
+def _div(x, k: int):
+    """x / 2^k."""
+    return x / (1 << k)
 
 
-def _d_vs_dagger_terms(A, B, C, d):
-    # sign(d - d_dagger) scaled by 2(A^2 - 3B) > 0
-    return (2 * A * A * d, -6 * B * d, -9 * C, A * B)
-
-
-#: comparison name -> terms at q; both discriminant comparisons read one predicate
-_ON_COEFFS = {
-    "b_vs_3a2_over_8": _b_terms,
-    "c_vs_C0": _c0_terms,
-    "c_band": _band_terms,
-    "d_vs_d0_via_disc": _disc_terms,
-    "d_vs_droots_via_disc": _disc_terms,
-    "disc_d_slope": _disc_slope_terms,
-    "disc_d_curvature": _disc_curvature_terms,
-    "d_vs_a4_over_256": _d_quad_terms,
+#: comparison name -> (terms at a _Coeffs point, weight w): every term at
+#: (la, l^2 b, l^3 c, l^4 d) is l^w times the term at (a, b, c, d).  Both discriminant
+#: comparisons read one predicate.
+_COMPARISONS = {
+    "b_vs_3a2_over_8": (_b_terms, 2),
+    "c_vs_C0": (_c0_terms, 3),
+    "c_band": (_band_terms, 6),
+    "d_vs_d0_via_disc": (_disc_terms, 12),
+    "d_vs_droots_via_disc": (_disc_terms, 12),
+    "disc_d_slope": (_disc_slope_terms, 8),
+    "disc_d_curvature": (_disc_curvature_terms, 4),
+    "d_vs_a4_over_256": (_d_quad_terms, 4),
+    "d_vs_d_tilde": (_d_vs_tilde_terms, 12),
+    "d_vs_d_dagger": (_d_vs_dagger_terms, 12),
 }
-#: comparison name -> terms at (A, B, C, d) of the d-cubic
-_ON_D_CUBIC = {"d_vs_d_tilde": _d_vs_tilde_terms, "d_vs_d_dagger": _d_vs_dagger_terms}
-
-#: comparison name -> weight w of its predicate: every term at (la, l^2 b, l^3 c, l^4 d)
-#: is l^w times the term at (a, b, c, d)
-_WEIGHT = {
-    "b_vs_3a2_over_8": 2,
-    "c_vs_C0": 3,
-    "c_band": 6,
-    "d_vs_d0_via_disc": 12,
-    "d_vs_droots_via_disc": 12,
-    "disc_d_slope": 8,
-    "disc_d_curvature": 4,
-    "d_vs_a4_over_256": 4,
-}
+_ON_COEFFS = {name: terms for name, (terms, _) in _COMPARISONS.items()}
+_WEIGHT = {name: w for name, (_, w) in _COMPARISONS.items()}
 
 
 def _lattice(q: Quartic):
-    """For all-rational q, the ints (la, l^2 b, l^3 c, l^4 d) and l, the lcm of the
-    denominators; None when a coefficient is a float.
+    """For all-rational q, the ints (la, l^2 b, l^3 c, l^4 d) and l, four times the
+    lcm of the denominators; None when a coefficient is a float.
 
-    Every coefficient predicate is weighted-homogeneous, so its sign at q is
-    its sign at the lattice point, and its terms there are ints.
+    Every predicate is weighted-homogeneous, so its sign at q is its sign at the
+    lattice point, and its terms there are ints.  The factor 4 makes the
+    d-cubic's A, B, C integers there too (see _d_cubic).
     """
     coeffs = (q.a, q.b, q.c, q.d)
     if float in map(type, coeffs):  # a Quartic holds floats and rationals only
         return None
-    # int(): numpy integers are rational too, and their products would wrap
-    lam = math.lcm(*(int(v.denominator) for v in coeffs))
+    lam = 4 * math.lcm(*(v.denominator for v in coeffs))
     ints, power = [], 1
     for v in coeffs:
         power *= lam
-        ints.append(int(v.numerator) * (power // int(v.denominator)))
+        ints.append(v.numerator * (power // v.denominator))
     return _Coeffs(*ints), lam
 
 
@@ -267,13 +270,34 @@ def _int_sign(terms) -> int:
 
 
 def _sign_test(q: Quartic, tol: Tolerance):
-    """(point, sign): ``sign(terms(point))`` is the sign at q of the coefficient
-    predicate ``terms`` (a function in _ON_COEFFS), exact on the lattice for
-    rational q and tolerance-guarded for floats."""
+    """(point, l, sign): the lattice point and l of an all-rational q, else q's
+    coefficients and None.  ``sign(terms(point))`` is the sign at q of the
+    predicate ``terms`` (a function in _ON_COEFFS), exact on the lattice and
+    tolerance-guarded for floats."""
     lattice = _lattice(q)
-    if lattice is None:
-        return q, tol.sign_terms
-    return lattice[0], _int_sign
+    if lattice is not None:
+        return (*lattice, _int_sign)
+    coeffs = (q.a, q.b, q.c, q.d)
+    if int in map(type, coeffs):  # _d_cubic would read ints as a lattice point
+        coeffs = map(_lift, coeffs)
+    return _Coeffs(*coeffs), None, tol.sign_terms
+
+
+def _value(x, k, lam, w: int):
+    """x / k at q, for a quantity of weight w that x / k gives at the point of
+    _sign_test(q): a Fraction on the lattice (lam), else x / k."""
+    return x / k if lam is None else Fraction(x, k * lam ** w)
+
+
+def _c_mid(a, b, lam=None):
+    """C0 = -a^3/8 + ab/2, where the c_vs_C0 predicate vanishes."""
+    return _value(-sum_terms(_c0_terms(_Coeffs(a, b, 0, 0))), 8, lam, 3)
+
+
+def _b_gap(a, b, lam=None):
+    """3a^2 - 8b, the b_vs_3a2_over_8 predicate negated."""
+    gap = -sum_terms(_b_terms(_Coeffs(a, b, 0, 0)))
+    return gap if lam is None else Fraction(gap, lam ** 2)
 
 
 def delta3_expanded(q: Quartic):
@@ -297,21 +321,13 @@ def delta3(q: Quartic):
     return -1289945088 * off_c0 ** 2 * band ** 3
 
 
-def _d_dagger_tilde(A, B, C):
-    """Double and simple roots of the d-cubic when its discriminant vanishes."""
-    denom = 2 * (A * A - 3 * B)
-    if denom == 0:
-        return None, None
-    dag = (9 * C - A * B) / denom
-    return dag, -A - 2 * dag
-
-
-def _c_thresholds(a, b, s_b: int):
-    """C0, and the band edges C1 > C2 as floats when s_b < 0 (b < 3a^2/8), else None."""
-    c0 = _c_mid(a, b)
+def _c_thresholds(point, lam, s_b: int):
+    """C0, and the band edges C1 > C2 as floats when s_b < 0 (b < 3a^2/8), else None;
+    point and lam as _sign_test gives them."""
+    c0 = _c_mid(point.a, point.b, lam)
     if s_b >= 0:
         return c0, None, None
-    half = math.sqrt(3.0) / 72.0 * math.sqrt(float(_b_gap(a, b)) ** 3)
+    half = math.sqrt(3.0) / 72.0 * math.sqrt(float(_b_gap(point.a, point.b, lam)) ** 3)
     return c0, float(c0) + half, float(c0) - half
 
 
@@ -325,23 +341,29 @@ def _require_finite(values) -> None:
 def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
     """Thresholds on c and d; rationally computable fields stay exact for exact input.
 
+    Exact input is read on its lattice point only, with no Fraction arithmetic.
     Raises OverflowError when a float threshold would not be finite.
     """
-    a, b = _lift(q.a), _lift(q.b)
-    abc = A, B, C = _d_cubic(a, b, _lift(q.c))
+    point, lam, sign = _sign_test(q, tol)
+    A, B, C = point.d_cubic
+    abc = (A, B, C) if lam is None else (
+        Fraction(A, lam ** 4), Fraction(B, lam ** 8), Fraction(C, lam ** 12))
     _require_finite(abc)
-    point, sign = _sign_test(q, tol)
     s_b, s_c0, s_band = sign(_b_terms(point)), sign(_c0_terms(point)), sign(_band_terms(point))
-    c0, c_hi, c_lo = _c_thresholds(a, b, s_b)
+    c0, c_hi, c_lo = _c_thresholds(point, lam, s_b)
     d_roots, dag, til = (), None, None
     if s_b == 0 and s_c0 == 0:
-        d0 = -sum_terms(_d_quad_terms(_Coeffs(a, b, 0, 0))) / 256
+        d0 = _value(-sum_terms(_d_quad_terms(_Coeffs(point.a, 0, 0, 0))), 256, lam, 4)
         d_roots, til = (d0,), d0
     elif s_c0 == 0 or (s_b < 0 and s_band == 0):
-        # repeated root of the d-cubic
-        dag, til = _d_dagger_tilde(A, B, C)
+        # repeated root d_dagger of the d-cubic, and its simple root d_tilde
+        denom = 2 * (A * A - 3 * B)
+        if denom != 0:
+            num = 9 * C - A * B
+            dag = _value(num, denom, lam, 4)
+            til = -A - 2 * dag if lam is None else _value(-A * denom - 2 * num, denom, lam, 4)
     else:
-        kind, payload = viete_values(Cubic(float(A), float(B), float(C)), tol)
+        kind, payload = viete_values(Cubic(*map(float, abc)), tol)
         d_roots = tuple(sorted(payload, reverse=True)) if kind == "three" else (payload,)
     _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
@@ -401,20 +423,13 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     """
     comparisons: List[Comparison] = []
     signs = {}
-    cubic = []  # (A, B, C, d), built for the first comparison on the d-cubic
-    lattice = _lattice(q)
+    point, lam, _ = _sign_test(q, tol)
 
     def sign(name: str) -> int:
-        if name in _ON_D_CUBIC:
-            if not cubic:
-                a, b, c, d = (_lift(v) for v in (q.a, q.b, q.c, q.d))
-                cubic.extend((*_d_cubic(a, b, c), d))
-            s, value, margin, fragile = tol.compare_terms(_ON_D_CUBIC[name](*cubic))
-        elif lattice is None:
-            s, value, margin, fragile = tol.compare_terms(_ON_COEFFS[name](q))
+        terms = _ON_COEFFS[name](point)
+        if lam is None:
+            s, value, margin, fragile = tol.compare_terms(terms)
         else:
-            point, lam = lattice
-            terms = _ON_COEFFS[name](point)
             s, value, margin, fragile = _compare_exact(
                 tol, sum(terms), max(map(abs, terms)), lam ** _WEIGHT[name])
         comparisons.append(Comparison(name, value, margin, fragile))
@@ -443,7 +458,7 @@ def _cascade(sign: Callable[[str], int]) -> ClassificationCase:
     """The 32-case decision tree, written once.
 
     ``sign(name)`` answers one named comparison with -1, 0 or 1; the names
-    are the keys of _ON_COEFFS and _ON_D_CUBIC.  A path asks each comparison
+    are the keys of _ON_COEFFS.  A path asks each comparison
     at most once, in the order classify_quartic audits them.  The batch
     classifier walks every path once to build its lookup table.
     """

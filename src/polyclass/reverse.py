@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance
-from .poly import Quartic, _lift
+from .poly import Quartic
 from .quartic import (
     DoublePairPosition,
     Nature,
@@ -90,31 +90,24 @@ def admissible_b_range(a, nature: Nature, tol: Tolerance = DEFAULT_TOL) -> Admis
     return Admissible(intervals=(((thr, None)),))
 
 
-def _require_triangle(q: Quartic, tol: Tolerance, nature: Nature) -> int:
-    """The sign of b - 3a^2/8, which the nature needs negative."""
-    point, sign = _sign_test(q, tol)
-    s_b = sign(_b_terms(point))
-    if s_b >= 0:
-        raise Unachievable(
-            f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(q.a):.6g}, got b = {float(q.b):.6g}"
-        )
-    return s_b
-
-
 def admissible_c_range(a, b, nature: Nature,
                        position: Optional[DoublePairPosition] = None,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
     """Admissible linear coefficients once a and b are fixed."""
     q0 = Quartic(a, b, 0, 0)
-    if nature is Nature.QUADRUPLE_ROOT:
-        point, sign = _sign_test(q0, tol)
-        if sign(_b_terms(point)) != 0:
-            raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
-        return Admissible(points=(float(a) ** 3 / 16.0,))
     if nature in (Nature.NO_REAL, Nature.TWO_EQUAL_REAL, Nature.TWO_DISTINCT_REAL):
         return Admissible(intervals=((None, None),))
-    s_b = _require_triangle(q0, tol, nature)
-    c_mid, c_hi, c_lo = _c_thresholds(_lift(q0.a), _lift(q0.b), s_b)
+    point, lam, sign = _sign_test(q0, tol)
+    s_b = sign(_b_terms(point))
+    if nature is Nature.QUADRUPLE_ROOT:
+        if s_b != 0:
+            raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
+        return Admissible(points=(float(a) ** 3 / 16.0,))
+    if s_b >= 0:
+        raise Unachievable(
+            f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(q0.a):.6g}, got b = {float(q0.b):.6g}"
+        )
+    c_mid, c_hi, c_lo = _c_thresholds(point, lam, s_b)
     if nature is Nature.FOUR_DISTINCT_REAL:
         return Admissible(intervals=((c_lo, c_hi),))
     if nature is Nature.TWO_DOUBLE_PAIRS:
@@ -136,7 +129,7 @@ def admissible_d_range(a, b, c, nature: Nature,
     """Admissible free terms once a, b, c are fixed."""
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
-    point, sign = _sign_test(q0, tol)
+    point, _, sign = _sign_test(q0, tol)
     s_b_rel, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
     # the band [C2, C1] exists only below b = 3a^2/8
     s_band = sign(_band_terms(point)) if s_b_rel < 0 else 1
@@ -256,7 +249,8 @@ def synthesize(target: NatureTarget, tol: Tolerance = DEFAULT_TOL) -> Quartic:
         if target.exact:
             q = _synthesize_exact(target, rng, tol, pad)
         else:
-            q = _synthesize_float(target, rng, tol, pad)
+            b, c = (None if v is None else float(v) for v in (target.b, target.c))
+            q = _pick_chain(target, rng, tol, pad, float(target.a), b, c, float)
         cls = classify_quartic(q, tol)
         if cls.nature is not target.nature:
             mismatch = RoundTripMismatch(
@@ -276,21 +270,17 @@ def synthesize(target: NatureTarget, tol: Tolerance = DEFAULT_TOL) -> Quartic:
     raise mismatch
 
 
-def _synthesize_float(target: NatureTarget, rng: random.Random,
-                      tol: Tolerance, pad: float = 0.05) -> Quartic:
-    a = float(target.a)
-    if target.b is None:
-        b = _pick(admissible_b_range(a, target.nature, tol), target, rng, pad)
-    else:
-        b = float(target.b)
-    if target.c is None:
-        c = _pick(admissible_c_range(a, b, target.nature, target.position, tol),
-                  target, rng, pad)
-    else:
-        c = float(target.c)
-    d = _pick(admissible_d_range(a, b, c, target.nature, target.position, tol),
-              target, rng, pad)
-    return Quartic(a, b, c, d)
+def _pick_chain(target: NatureTarget, rng: random.Random, tol: Tolerance, pad: float,
+                a, b, c, snap) -> Quartic:
+    """Quartic(a, b, c, d), picking the missing b and c, then d, left to right from the
+    float admissible sets; ``snap`` turns each pick into a coefficient."""
+    fa, nature, position = float(a), target.nature, target.position
+    if b is None:
+        b = snap(_pick(admissible_b_range(fa, nature, tol), target, rng, pad))
+    if c is None:
+        c = snap(_pick(admissible_c_range(fa, float(b), nature, position, tol), target, rng, pad))
+    d_adm = admissible_d_range(fa, float(b), float(c), nature, position, tol)
+    return Quartic(a, b, c, snap(_pick(d_adm, target, rng, pad)))
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -377,18 +367,7 @@ def _synthesize_exact(target: NatureTarget, rng: random.Random,
         return _exact_two_equal(target, a, bq, cq, rng)
 
     # open natures: rational interior points of the float admissible sets
-    ftarget = NatureTarget(nature=nature, a=float(a),
-                           b=None if bq is None else float(bq),
-                           c=None if cq is None else float(cq),
-                           position=target.position, strategy=target.strategy,
-                           seed=target.seed, window=target.window)
-    qf = _synthesize_float(ftarget, rng, tol, pad)
-    b = bq if bq is not None else _snap(qf.b)
-    c = cq if cq is not None else _snap(qf.c)
-    d_adm = admissible_d_range(float(a), float(b), float(c), nature,
-                               target.position, tol)
-    d = _snap(_pick(d_adm, target, rng, pad))
-    return Quartic(a, b, c, d)
+    return _pick_chain(target, rng, tol, pad, a, bq, cq, _snap)
 
 
 def _offset(target: NatureTarget, rng: random.Random) -> Fraction:

@@ -13,6 +13,7 @@ from polyclass import (
     CubicKind,
     NoTriangle,
     OutOfRange,
+    Quartic,
     classify_cubic,
     cubic_isolation_intervals,
     cubic_thresholds,
@@ -89,6 +90,11 @@ class TestClassify:
         # a^2 = 3b with c off the triple point has a single real root
         assert (classify_cubic(Cubic(3.0, 3.0, 7.0)).kind
                 is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR)
+
+    def test_numpy_integers_classify_as_python_ints(self):
+        # int64 products would wrap at 2^63, and numpy bools do not subtract
+        assert classify_cubic(Cubic(np.int64(2 ** 40), 0, 0)) == classify_cubic(Cubic(2 ** 40, 0, 0))
+        assert type(Quartic(np.int32(3), 0, 0, np.int64(-5)).d) is int
 
 
 class TestComparisons:

@@ -498,9 +498,10 @@ small_roots = st.sampled_from([Fraction(n, d) for n in range(-4, 5) for d in (1,
        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000))
 def test_coefficient_predicates_are_weighted_homogeneous(coeffs, lam):
     assert set(quartic_mod._WEIGHT) == set(quartic_mod._ON_COEFFS)
+    assert {"d_vs_d_tilde", "d_vs_d_dagger"} <= set(quartic_mod._WEIGHT)
     a, b, c, d = coeffs
-    q = Quartic(a, b, c, d)
-    scaled = Quartic(lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
+    q = quartic_mod._Coeffs(a, b, c, d)
+    scaled = quartic_mod._Coeffs(lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
     for name, weight in quartic_mod._WEIGHT.items():
         terms = quartic_mod._ON_COEFFS[name]
         assert terms(scaled) == tuple(lam ** weight * t for t in terms(q)), name
@@ -515,15 +516,28 @@ def _reference_compare(tol, terms):
     return s, value, tol.margin(value, scale), s == 0
 
 
+def _reference_d_cubic_terms(name, q):
+    """Terms of the two d-comparisons from the division form of the d-cubic on
+    Fractions, written out here independently of the library's."""
+    a, b, c, d = q.a, q.b, q.c, q.d
+    A = (-27 * a ** 4 / 128 + 9 * a ** 2 * b / 8 - 3 * a * c / 2 - b ** 2) / 2
+    B = (9 * a ** 3 * b * c / 8 - a ** 2 * b ** 3 / 4 - 3 * a ** 2 * c ** 2 / 8
+         - 5 * a * b ** 2 * c + b ** 4 + 9 * b * c ** 2) / 16
+    C = (-a ** 3 * c ** 3 + a ** 2 * b ** 2 * c ** 2 / 4 + 9 * a * b * c ** 3 / 2
+         - b ** 3 * c ** 2 - 27 * c ** 4 / 4) / 64
+    if name == "d_vs_d_tilde":  # sign(d - d_tilde) scaled by A^2 - 3B > 0
+        return (A * A * d, -3 * B * d, A * A * A, -4 * A * B, 9 * C)
+    return (2 * A * A * d, -6 * B * d, -9 * C, A * B)  # d - d_dagger, by 2(A^2 - 3B)
+
+
 def _reference_classify(q, tol):
     """Case and comparisons of classify_quartic, every predicate on Fraction terms."""
     qf = Quartic(*(Fraction(v) for v in (q.a, q.b, q.c, q.d)))
-    d_cubic = (*quartic_mod._d_cubic(qf.a, qf.b, qf.c), qf.d)
     out = []
 
     def sign(name):
-        if name in quartic_mod._ON_D_CUBIC:
-            terms = quartic_mod._ON_D_CUBIC[name](*d_cubic)
+        if name in ("d_vs_d_tilde", "d_vs_d_dagger"):
+            terms = _reference_d_cubic_terms(name, qf)
         else:
             terms = quartic_mod._ON_COEFFS[name](qf)
         s, value, margin, fragile = _reference_compare(tol, terms)
@@ -572,5 +586,37 @@ def test_lattice_comparisons_equal_fraction_comparisons(q, eps):
 def test_lattice_of_mixed_or_float_quartics_is_none():
     assert quartic_mod._lattice(Quartic(1.0, 2, 3, 4)) is None
     point, lam = quartic_mod._lattice(Quartic(Fraction(1, 2), 1, Fraction(1, 3), 0))
-    assert lam == 6
-    assert tuple(point) == (3, 36, 72, 0)
+    assert lam == 4 * 6  # the lcm of the denominators, times 4 for the d-cubic
+    assert tuple(point) == (12, 576, 4608, 0)
+
+
+#: Fraction methods that do arithmetic or ordering (conversions and equality excluded)
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__mod__", "__pow__", "__rpow__", "__neg__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+@pytest.mark.parametrize("coeffs, d_names", [
+    # c = C0 below 3a^2/8: two double pairs at d = d_dagger
+    ((0, -2, 0, 1), ["d_vs_d_dagger"]),
+    # band edge c = C1: (x - 1/2)^3 (x + 3/2), where d = d_dagger < d_tilde
+    ((0, Fraction(-3, 2), 1, Fraction(-3, 16)), ["d_vs_d_tilde", "d_vs_d_dagger"]),
+])
+def test_exact_classification_does_no_fraction_arithmetic(monkeypatch, coeffs, d_names):
+    q = Quartic(*map(Fraction, coeffs))
+    expected = _reference_classify(q, quartic_mod.DEFAULT_TOL)
+    calls = []
+    for name in _FRACTION_ARITHMETIC:
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    cls = classify_quartic(q)
+    thr = cls.thresholds
+    assert calls == []
+    monkeypatch.undo()
+    assert [c.name for c in cls.comparisons][-len(d_names):] == d_names
+    got = [(c.name, c.value.hex(), c.margin_units.hex(), c.fragile) for c in cls.comparisons]
+    assert (cls.case, got) == expected
+    assert thr.d_dagger == q.d  # both quartics sit on d = d_dagger
