@@ -6,8 +6,10 @@ the scalar classifier sums, and looks each sample's sign vector up in a
 table built by walking the scalar decision tree once.  Case, nature and
 minimum margin therefore equal the scalar verdict bit for bit.  The Aberth
 helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
-Callers chunk the inputs; everything here is allocation bound, so chunks
-around 10^5 keep the working set in cache.
+``aberth_roots_batch`` iterates only on the polynomials that have not
+converged, kept as compact arrays, and forms each pair's 1/(z_i - z_j)
+once: its work and memory grow with N x degree, never N x degree^2, so one
+call can take a whole sweep chunk.
 """
 
 from __future__ import annotations
@@ -150,49 +152,116 @@ def classify_nature_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return NATURE_CODE_BY_CASE[case], min_margin
 
 
+def _numpy_order_sum(terms):
+    """Sum arrays in the order numpy's pairwise ``sum`` adds a short axis.
+
+    From four terms on, four running sums take the terms in blocks of four
+    and fold as (s0 + s1) + (s2 + s3); the remaining terms add on in turn,
+    left to right.
+    """
+    total, stop = 0.0, 0
+    if len(terms) >= 4:
+        stop = len(terms) - len(terms) % 4
+        s = terms[:4]
+        for i in range(4, stop, 4):
+            s = [a + b for a, b in zip(s, terms[i:i + 4])]
+        total = (s[0] + s[1]) + (s[2] + s[3])
+    for t in terms[stop:]:
+        total = total + t
+    return total
+
+
+def _inverse_row_sums(z: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j), for each root row i of z (degree, m).
+
+    Each pair's reciprocal x is formed once; the (j, i) term is -x, or x
+    where z_i == z_j, since a zero difference reads as 1e-300 both ways.
+    With the diagonal as 0 and numpy's summation order, each sum equals
+    numpy's ``sum`` over a row of the full difference tensor.
+    """
+    degree = len(z)
+    out = np.empty_like(z)
+    pairs = {}  # (i, j), i < j -> x and where z_i != z_j, until row j negates x
+    for i in range(degree):
+        terms = []
+        for j in range(degree):
+            if j < i:
+                x, nonzero = pairs.pop((j, i))
+                t = np.negative(x, out=x, where=nonzero)
+            elif j > i:
+                t = z[i] - z[j]
+                zero = t == 0
+                nonzero = True
+                if zero.any():
+                    t[zero] = 1e-300
+                    nonzero = ~zero
+                pairs[i, j] = np.divide(1.0, t, out=t), nonzero
+            else:
+                t = 0.0  # the diagonal
+            terms.append(t)
+        out[i] = _numpy_order_sum(terms)
+    return out
+
+
+def _aberth_step(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Move the roots z (degree, m) one Aberth step, in place.
+
+    c (degree, m) holds the trailing coefficients of the m monic
+    polynomials.  Returns each polynomial's largest step relative to
+    1 + |z|.  Products go to fresh arrays: numpy's complex multiply rounds
+    differently when its output overlaps an input of length one.
+    """
+    w = _inverse_row_sums(z)
+    step = np.zeros(z.shape[1])
+    for zk, wk in zip(z, w):  # one root of every polynomial at a time
+        p = np.ones_like(zk)
+        dp = np.zeros_like(zk)
+        for ck in c:  # Horner: p and p'
+            dp = dp * zk + p
+            p = p * zk + ck
+        dp[dp == 0] = 1e-300
+        ratio = np.divide(p, dp, out=p)
+        denom = 1.0 - ratio * wk
+        denom[denom == 0] = 1.0
+        np.divide(ratio, denom, out=wk)
+        zk -= wk
+        scale = np.abs(zk)
+        scale += 1.0
+        rel = np.abs(wk)
+        rel /= scale
+        np.maximum(step, rel, out=step)
+    return step
+
+
 def aberth_roots_batch(trailing: np.ndarray, max_iter: int = 120,
                        tol: float = 1e-12) -> np.ndarray:
     """All complex roots of many monic polynomials at once.
 
     ``trailing`` has shape (N, degree): the coefficients after the leading 1,
-    descending.  Returns shape (N, degree) complex roots (unordered).
+    descending.  Returns shape (N, degree) complex roots (unordered).  A
+    polynomial leaves the iteration at the first step below ``tol``; its
+    roots are those of the same iteration run on it alone.
     """
     trailing = np.asarray(trailing, dtype=np.float64)
     n_poly, degree = trailing.shape
     radius = 1.0 + np.abs(trailing).max(axis=1)
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-
-    coeffs = np.concatenate([np.ones((n_poly, 1)), trailing], axis=1)
-    active = np.ones(n_poly, dtype=bool)
+    z = radius[None, :] * np.exp(1j * angles)[:, None]  # z[k, n]: root k of polynomial n
+    ca, idx = trailing.T, np.arange(n_poly)  # the unconverged polynomials
+    settled = []  # (polynomials, their roots z[:, polynomials]) as they converge
     for _ in range(max_iter):
-        za = z[active]
-        ca = coeffs[active]
-        p = np.full(za.shape, ca[:, 0][:, None], dtype=np.complex128)
-        dp = np.zeros_like(za)
-        for k in range(1, degree + 1):
-            dp = dp * za + p
-            p = p * za + ca[:, k][:, None]
-        diag = np.arange(degree)
-        diff = za[:, :, None] - za[:, None, :]
-        diff[:, diag, diag] = 1.0  # keep the diagonal harmless
-        inv = 1.0 / np.where(diff == 0, 1e-300, diff)
-        inv[:, diag, diag] = 0.0
-        ssum = inv.sum(axis=2)
-        dp_safe = np.where(dp == 0, 1e-300, dp)
-        ratio = p / dp_safe
-        denom = 1.0 - ratio * ssum
-        w = ratio / np.where(denom == 0, 1.0, denom)
-        za = za - w
-        z[active] = za
-        steps = (np.abs(w) / (1.0 + np.abs(za))).max(axis=1)
-        done = steps < tol
+        done = _aberth_step(z, ca) < tol
         if done.any():
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-            if not active.any():
+            settled.append((idx[done], z[:, done]))
+            keep = ~done
+            idx, z, ca = idx[keep], z[:, keep], ca[:, keep]
+            if not idx.size:
                 break
-    return z
+    settled.append((idx, z))
+    roots = np.empty((n_poly, degree), dtype=np.complex128)
+    for rows, zs in settled:
+        roots[rows] = zs.T
+    return roots
 
 
 def real_root_count_batch(roots: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
@@ -203,10 +272,12 @@ def real_root_count_batch(roots: np.ndarray, rel_tol: float = 1e-6) -> np.ndarra
 
 def min_root_gap_batch(roots: np.ndarray) -> np.ndarray:
     """Smallest pairwise distance between roots, per polynomial."""
-    diff = np.abs(roots[:, :, None] - roots[:, None, :])
+    gap = np.full(roots.shape[0], np.inf)
     degree = roots.shape[1]
-    diff[:, np.arange(degree), np.arange(degree)] = np.inf
-    return diff.min(axis=(1, 2))
+    for i in range(degree):
+        for j in range(i + 1, degree):
+            np.minimum(gap, np.abs(roots[:, i] - roots[:, j]), out=gap)
+    return gap
 
 
 def brute_discriminant_batch(roots: np.ndarray) -> np.ndarray:

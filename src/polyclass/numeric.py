@@ -54,8 +54,15 @@ def as_float(value) -> float:
 
 def ensure_finite(name: str, value: Number) -> Number:
     if isinstance(value, Rational):
-        # numpy integers are Integral too: as Python ints their products cannot wrap
-        return int(value) if isinstance(value, Integral) else value
+        # numpy integers are Integral too: as Python ints their products cannot
+        # wrap.  A Fraction built from them keeps them as its numerator and
+        # denominator, so it is rebuilt from Python ints.
+        if isinstance(value, Integral):
+            return int(value)
+        num, den = value.numerator, value.denominator
+        if type(num) is int and type(den) is int:
+            return value
+        return Fraction(int(num), int(den))
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"coefficient {name!r} must be finite, got {value!r}")

@@ -1,5 +1,6 @@
 """Vectorized classifier and root finder against their scalar references."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from polyclass.batch import (
     NATURE_CODE_BY_CASE,
     REAL_COUNT_BY_CODE,
     _INDEX,
+    _inverse_row_sums,
+    _numpy_order_sum,
     _tables,
     aberth_roots_batch,
     brute_discriminant_batch,
@@ -57,6 +60,72 @@ def _scaled(abcd, lam):
 
 
 dyadic = st.integers(-64, 64).map(lambda n: n / 8.0)
+
+
+def _tensor_aberth(trailing, max_iter=120, tol=1e-12):
+    """The earlier batch Aberth iteration, kept as a reference.
+
+    Every step gathers the active rows, sums an N x d x d tensor of
+    1/(z_i - z_j) with numpy's ``sum`` and scatters the rows back.
+    """
+    n_poly, degree = trailing.shape
+    radius = 1.0 + np.abs(trailing).max(axis=1)
+    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
+    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    coeffs = np.concatenate([np.ones((n_poly, 1)), trailing], axis=1)
+    active = np.ones(n_poly, dtype=bool)
+    diag = np.arange(degree)
+    for _ in range(max_iter):
+        za, ca = z[active], coeffs[active]
+        p = np.full(za.shape, ca[:, 0][:, None], dtype=np.complex128)
+        dp = np.zeros_like(za)
+        for k in range(1, degree + 1):
+            dp = dp * za + p
+            p = p * za + ca[:, k][:, None]
+        diff = za[:, :, None] - za[:, None, :]
+        diff[:, diag, diag] = 1.0
+        inv = 1.0 / np.where(diff == 0, 1e-300, diff)
+        inv[:, diag, diag] = 0.0
+        ratio = p / np.where(dp == 0, 1e-300, dp)
+        denom = 1.0 - ratio * inv.sum(axis=2)
+        w = ratio / np.where(denom == 0, 1.0, denom)
+        za = za - w
+        z[active] = za
+        done = (np.abs(w) / (1.0 + np.abs(za))).max(axis=1) < tol
+        if done.any():
+            active[np.flatnonzero(active)[done]] = False
+            if not active.any():
+                break
+    return z
+
+
+def _tensor_min_gap(roots):
+    diff = np.abs(roots[:, :, None] - roots[:, None, :])
+    degree = roots.shape[1]
+    diff[:, np.arange(degree), np.arange(degree)] = np.inf
+    return diff.min(axis=(1, 2))
+
+
+def _repeated(roots):
+    return min_root_gap_batch(roots) < 1e-6 * (1.0 + np.abs(roots).max(axis=1))
+
+
+def _sums_in_reproduced_order(rng, degree=4):
+    """Whether this numpy's ``sum`` over a short complex axis adds in the order
+    ``aberth_roots_batch`` reproduces; only then are its roots the tensor
+    iteration's bit for bit."""
+    t = rng.standard_normal((1000, degree)) + 1j * rng.standard_normal((1000, degree))
+    return np.array_equal(t.sum(axis=1), _numpy_order_sum(list(t.T)))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+#: x^4 (all-zero trailing coefficients), (x - 1)^4 and (x^2 - 1)^2, with
+#: their exact roots
+MULTIPLE_ROOTS = np.array([[0.0, 0.0, 0.0, 0.0], [-4.0, 6.0, -4.0, 1.0], [0.0, -2.0, 0.0, 1.0]])
+EXACT_ROOTS = [[0.0] * 4, [1.0] * 4, [-1.0, -1.0, 1.0, 1.0]]
 
 
 class TestClassifyBatch:
@@ -171,6 +240,75 @@ class TestAberthBatch:
         trailing = np.array([[0.0, -2.0, 0.0, 1.0]])  # (x^2-1)^2
         roots = aberth_roots_batch(trailing)
         assert min_root_gap_batch(roots)[0] < 1e-6
+
+    @pytest.mark.parametrize("max_iter", [120, 3])
+    @pytest.mark.parametrize("lam", [2.0 ** -20, 1.0, 2.0 ** 20])
+    def test_matches_tensor_reference(self, rng, lam, max_iter):
+        trailing = _scaled(rng.uniform(-10, 10, size=(4, 2000)), lam).T
+        if max_iter == 3:
+            trailing = np.concatenate([trailing, MULTIPLE_ROOTS])
+        roots = aberth_roots_batch(trailing, max_iter=max_iter)
+        ref = _tensor_aberth(trailing, max_iter=max_iter)
+        assert (real_root_count_batch(roots) == real_root_count_batch(ref)).all()
+        assert (_repeated(roots) == _repeated(ref)).all()
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(roots - ref) <= 1e-12 * scale).all()
+
+    def test_multiple_roots_match_tensor_reference(self, rng):
+        roots = aberth_roots_batch(MULTIPLE_ROOTS)
+        ref = _tensor_aberth(MULTIPLE_ROOTS)
+        # a summation order other than numpy's moves an m-fold root by about
+        # eps^(1/m): 2e-4 at (x - 1)^4, enough to change its real count
+        for got in (roots, ref):
+            for row, exact, tol in zip(got, EXACT_ROOTS, (1e-9, 1e-2, 1e-6)):
+                assert np.allclose(np.sort_complex(row), exact, rtol=0, atol=tol)
+        if _sums_in_reproduced_order(rng):
+            assert _same_bits(roots, ref)
+
+    def test_each_row_as_if_alone(self, rng):
+        trailing = np.concatenate([
+            rng.uniform(-10, 10, size=(40, 4)),
+            _scaled(rng.uniform(-10, 10, size=(4, 20)), 2.0 ** -20).T,
+            MULTIPLE_ROOTS,
+        ])
+        order = rng.permutation(len(trailing))
+        together = aberth_roots_batch(trailing[order])
+        for pos, i in enumerate(order):
+            assert _same_bits(together[pos], aberth_roots_batch(trailing[i:i + 1])[0]), i
+
+    def test_memory_grows_with_n_times_degree(self, rng):
+        n = 1 << 14
+        trailing = rng.uniform(-10, 10, size=(n, 4))
+        tracemalloc.start()
+        try:
+            aberth_roots_batch(trailing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensor = n * 4 * 4 * 16  # one N x 4 x 4 complex128 array
+        # the N x 4 roots, their working copy and the inverse sums stay near
+        # 1.2 tensors; the tensor iteration peaked above 6
+        assert peak < 2 * tensor
+
+    def test_inverse_sums_equal_tensor_sums(self, rng):
+        z = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+        z[:100, 1] = z[:100, 0]  # a zero difference reads as 1e-300 both ways
+        z[50:150, 3] = z[50:150, 2]
+        diff = z[:, :, None] - z[:, None, :]
+        diff[:, np.arange(4), np.arange(4)] = 1.0
+        inv = 1.0 / np.where(diff == 0, 1e-300, diff)
+        inv[:, np.arange(4), np.arange(4)] = 0.0
+        ref = inv.sum(axis=2)
+        got = _inverse_row_sums(np.ascontiguousarray(z.T)).T
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+        if _sums_in_reproduced_order(rng):
+            assert _same_bits(np.ascontiguousarray(got), ref)
+
+    def test_min_gap_equals_tensor_reference(self, rng):
+        roots = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+        roots[:50, 1] = roots[:50, 3]  # exact repeats
+        roots[50:60, 2] = np.nan
+        assert _same_bits(min_root_gap_batch(roots), _tensor_min_gap(roots))
 
     def test_brute_discriminant(self, rng):
         n = 100

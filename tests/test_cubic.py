@@ -96,6 +96,11 @@ class TestClassify:
         assert classify_cubic(Cubic(np.int64(2 ** 40), 0, 0)) == classify_cubic(Cubic(2 ** 40, 0, 0))
         assert type(Quartic(np.int32(3), 0, 0, np.int64(-5)).d) is int
 
+    def test_fraction_of_numpy_integers_classifies_as_python_fraction(self):
+        big = Fraction(np.int64(2 ** 40))
+        assert classify_cubic(Cubic(big, 0, 0)) == classify_cubic(Cubic(Fraction(2 ** 40), 0, 0))
+        assert type(Cubic(big, 0, 0).a.numerator) is int
+
 
 class TestComparisons:
     """classify_cubic tests each predicate once; the readers reuse its decisions."""

@@ -310,6 +310,13 @@ class TestExactMode:
         assert classify_quartic(Quartic(a, b, c0, mid)).case is ClassificationCase.XXVII
         assert classify_quartic(Quartic(a, b, c0, til)).case is ClassificationCase.XXVIII
 
+    def test_fraction_of_numpy_integers(self):
+        # numpy numerators would wrap at 2^63 and their bools do not subtract
+        big = Fraction(np.int64(2 ** 40))
+        cls = classify_quartic(Quartic(big, 0, 0, 0))
+        assert cls == classify_quartic(Quartic(Fraction(2 ** 40), 0, 0, 0))
+        assert type(Quartic(Fraction(np.int64(3), np.int64(7)), 0, 0, 0).a.denominator) is int
+
     def test_float_boundary_matches_exact_verdict(self):
         exact = classify_quartic(
             Quartic(Fraction(0), Fraction(-2), Fraction(0), Fraction(1)))
