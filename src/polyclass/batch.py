@@ -23,30 +23,24 @@ from .numeric import MIN_NORMAL
 from .quartic import (
     _CASE_TO_NATURE,
     _ON_COEFFS,
+    _ZERO_DISC_NATURES,
+    NATURE_STRUCTURE,
     ClassificationCase,
     Nature,
     _Coeffs,
     _cascade,
 )
 
-NATURE_BY_CODE: Tuple[Nature, ...] = (
-    Nature.NO_REAL,
-    Nature.TWO_EQUAL_REAL,
-    Nature.TWO_DISTINCT_REAL,
-    Nature.FOUR_DISTINCT_REAL,
-    Nature.FOUR_REAL_DOUBLE_PAIR,
-    Nature.TWO_DOUBLE_PAIRS,
-    Nature.TRIPLE_PLUS_SINGLE,
-    Nature.QUADRUPLE_ROOT,
-)
+#: nature of each code, in the enum's declaration order
+NATURE_BY_CODE: Tuple[Nature, ...] = tuple(Nature)
 CODE_BY_NATURE = {n: i for i, n in enumerate(NATURE_BY_CODE)}
 #: case index (as returned by classify_case_batch) -> case
 CASE_BY_INDEX: Tuple[ClassificationCase, ...] = tuple(ClassificationCase)
 
 #: real-root count implied by each nature code
-REAL_COUNT_BY_CODE = np.array([0, 2, 2, 4, 4, 4, 4, 4], dtype=np.int8)
+REAL_COUNT_BY_CODE = np.array([NATURE_STRUCTURE[n][0] for n in NATURE_BY_CODE], dtype=np.int8)
 #: 1 where the nature implies a repeated real root
-REPEATED_BY_CODE = np.array([0, 1, 0, 0, 1, 1, 1, 1], dtype=np.int8)
+REPEATED_BY_CODE = np.array([n in _ZERO_DISC_NATURES for n in NATURE_BY_CODE], dtype=np.int8)
 #: nature code of each case index
 NATURE_CODE_BY_CASE = np.array(
     [CODE_BY_NATURE[_CASE_TO_NATURE[case][0]] for case in CASE_BY_INDEX], dtype=np.int8)

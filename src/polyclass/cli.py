@@ -19,10 +19,12 @@ from .numeric import DEFAULT_EPS, Tolerance, parse_number
 from .oracle import brute_discriminant, solve
 from .poly import Cubic, Quartic, discriminant_quartic
 from .quartic import (
+    _ZERO_DISC_NATURES,
     NATURE_STRUCTURE,
     DoublePairPosition,
     Nature,
     _b_gap,
+    _verdict_roots,
     classify_quartic,
 )
 from .quintic import delta5_eval, delta5_sign_changes, quintic_cascade
@@ -124,6 +126,12 @@ def _numbers(opts, key, exact) -> List:
     return [parse_number(v, exact) for v in opts[key]]
 
 
+def _header(command: str, exact: bool, tol: Tolerance) -> Dict:
+    """The keys that open every report of a computation, in report order."""
+    return {"schema": SCHEMA, "command": command,
+            "arithmetic": "rational" if exact else "float", "eps": tol.eps}
+
+
 def _root_entries(rootset) -> List[Dict]:
     return [
         {"value": v, "multiplicity": m, "residual": r}
@@ -152,11 +160,9 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
                              oracle_check: bool) -> Tuple[Report, int]:
     cls = classify_quartic(q, tol)
     thr = cls.thresholds
-    roots = cls.closed_form_roots
-    oracle_roots = None
-    if roots is None and NATURE_STRUCTURE[cls.nature][0] > 0:
-        oracle_roots = solve(q.as_float())
-        roots = oracle_roots
+    roots = _verdict_roots(cls)
+    source = None if roots is None else (
+        "closed_form" if roots is cls.closed_form_roots else "oracle")
     geometry = None
     if _b_gap(float(q.a), float(q.b)) > 0.0:
         # the fields in declaration order, which is the report's; a shallow copy,
@@ -164,10 +170,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
         geometry = dict(vars(geometry_mod.tetrahedron_data(float(q.a), float(q.b))))
     fragile = any(c.fragile for c in cls.comparisons)
     data = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "arithmetic": "rational" if exact else "float",
-        "eps": tol.eps,
+        **_header("classify", exact, tol),
         "input": {"kind": "quartic",
                   "coefficients": {"a": q.a, "b": q.b, "c": q.c, "d": q.d}},
         "classification": {
@@ -184,13 +187,12 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
         "geometry": geometry,
         "roots": _root_entries(roots) if roots is not None else None,
         "complex_pairs": roots.complex_pairs if roots is not None else 2,
-        "roots_source": ("closed_form" if cls.closed_form_roots is not None
-                         else ("oracle" if roots is not None else None)),
+        "roots_source": source,
         "audit": _audit(cls.comparisons),
         "fragile": fragile,
     }
     if oracle_check:
-        rs = oracle_roots or solve(q.as_float())
+        rs = roots if source == "oracle" else solve(q.as_float())
         expected_count, expected_mults = NATURE_STRUCTURE[cls.nature]
         data["oracle"] = {
             "roots": _root_entries(rs),
@@ -217,10 +219,7 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
         isolation = {"branch": iso.branch,
                      "intervals": [list(i) for i in iso.intervals]}
     data = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "arithmetic": "rational" if exact else "float",
-        "eps": tol.eps,
+        **_header("classify", exact, tol),
         "input": {"kind": "cubic",
                   "coefficients": {"a": cu.a, "b": cu.b, "c": cu.c}},
         "classification": {"kind": cls.kind.value, "theta": theta},
@@ -267,19 +266,14 @@ def cmd_localize(opts) -> Tuple[Report, int]:
     q = Quartic(*_numbers(opts, "quartic", exact))
     cls = classify_quartic(q, tol)
     loc = geometry_mod.localize_roots(q, cls, tol)
-    rs = (cls.closed_form_roots if cls.closed_form_roots is not None
-          else solve(q.as_float()))
-    sorted_roots = rs.expanded()
+    sorted_roots = _verdict_roots(cls).expanded()
     contained = [
         bool(lo - 1e-9 <= x <= hi + 1e-9)
         for x, (lo, hi) in zip(sorted_roots, loc.intervals)
     ]
     fragile = any(c.fragile for c in cls.comparisons)
     data = {
-        "schema": SCHEMA,
-        "command": "localize",
-        "arithmetic": "rational" if exact else "float",
-        "eps": tol.eps,
+        **_header("localize", exact, tol),
         "input": {"kind": "quartic",
                   "coefficients": {"a": q.a, "b": q.b, "c": q.c, "d": q.d}},
         "classification": {"case": cls.case.value, "nature": cls.nature.value},
@@ -338,10 +332,7 @@ def cmd_synthesize(opts) -> Tuple[Report, int]:
             admissible_d_range(q.a, q.b, q.c, nature, position, tol)),
     }
     data = {
-        "schema": SCHEMA,
-        "command": "synthesize",
-        "arithmetic": "rational" if exact else "float",
-        "eps": tol.eps,
+        **_header("synthesize", exact, tol),
         "target": {"nature": nature.value,
                    "position": position.value if position else None,
                    "strategy": target.strategy, "seed": target.seed},
@@ -375,10 +366,7 @@ def cmd_quintic(opts) -> Tuple[Report, int]:
     except DegenerateAtBoundary:
         degenerate = True
     data = {
-        "schema": SCHEMA,
-        "command": "quintic",
-        "arithmetic": "rational" if exact else "float",
-        "eps": tol.eps,
+        **_header("quintic", exact, tol),
         "input": {"coefficients": {"p": p, "q": q, "r": r, "s": s, "t": t}},
         "delta5_coeffs": list(cascade.delta5_coeffs),
         "delta5_at_t": disc_at_t,
@@ -516,9 +504,7 @@ def run_selftest(seed: int = 0) -> Tuple[List[str], bool]:
     # reverse round trips
     all_ok = True
     for name, nature in sorted(NATURE_NAMES.items()):
-        exact = nature in (Nature.TWO_EQUAL_REAL, Nature.FOUR_REAL_DOUBLE_PAIR,
-                           Nature.TWO_DOUBLE_PAIRS, Nature.TRIPLE_PLUS_SINGLE,
-                           Nature.QUADRUPLE_ROOT)
+        exact = nature in _ZERO_DISC_NATURES
         target = NatureTarget(nature=nature, a=2.0, strategy="random",
                               seed=seed + 1, exact=exact)
         got = classify_quartic(synthesize(target)).nature
@@ -641,7 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     want_json = bool(opts.get("json"))
     try:
         report, code = handler(opts)
-    except (CliError, PolyclassError, ValueError, ArithmeticError) as exc:
+    except (CliError, PolyclassError, ValueError, ArithmeticError, OSError) as exc:
         report = error_report(command, exc)
         if want_json:
             print(report.to_json())

@@ -15,7 +15,7 @@ from typing import Tuple
 from .errors import NoTetrahedron, NotFourReal
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Quartic
-from .quartic import Nature, QuarticClassification, _b_gap, _c0_terms
+from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap, _c0_terms
 
 SQRT3 = math.sqrt(3.0)
 
@@ -105,15 +105,6 @@ def span_bounds(a: float, b: float) -> Tuple[float, float]:
     return 4.0 * radius, math.sqrt(24.0) * radius
 
 
-_FOUR_REAL = {
-    Nature.FOUR_DISTINCT_REAL,
-    Nature.FOUR_REAL_DOUBLE_PAIR,
-    Nature.TWO_DOUBLE_PAIRS,
-    Nature.TRIPLE_PLUS_SINGLE,
-    Nature.QUADRUPLE_ROOT,
-}
-
-
 def localize_roots(q: Quartic, cls: QuarticClassification,
                    tol: Tolerance = DEFAULT_TOL) -> LocalizationResult:
     """Landmark intervals around the four sorted real roots.
@@ -123,7 +114,7 @@ def localize_roots(q: Quartic, cls: QuarticClassification,
     Each interval may contain up to two roots; they are containment boxes,
     not isolation intervals.
     """
-    if cls.nature not in _FOUR_REAL:
+    if NATURE_STRUCTURE[cls.nature][0] != 4:
         raise NotFourReal(f"nature {cls.nature.value} does not have four real roots")
     if cls.nature is Nature.QUADRUPLE_ROOT:
         raise NoTetrahedron("quadruple root: the tetrahedron degenerates to a point")

@@ -48,10 +48,6 @@ def all_exact(values: Iterable) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def as_float(value) -> float:
-    return float(value)
-
-
 def ensure_finite(name: str, value: Number) -> Number:
     if isinstance(value, Rational):
         # numpy integers are Integral too: as Python ints their products cannot
@@ -115,6 +111,13 @@ class Tolerance:
     """
 
     eps: float = DEFAULT_EPS
+
+    def __post_init__(self):
+        # with a NaN or negative eps no sign test reads 0, with an infinite one
+        # every test does: either way a confident wrong verdict (NaN fails both
+        # comparisons below)
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"tolerance eps must be finite and >= 0, got {self.eps!r}")
 
     def sign_terms(self, terms: Sequence[Number]) -> int:
         value = sum_terms(terms)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .errors import AmbiguousSign, ImpossibleSignPattern
 from .numeric import (
@@ -137,9 +137,6 @@ class Quintic:
     def derivative_monic(self) -> Tuple[Quartic, int]:
         p, q, r, s = _lift(self.p), _lift(self.q), _lift(self.r), _lift(self.s)
         return Quartic(4 * p / 5, 3 * q / 5, 2 * r / 5, s / 5), 5
-
-
-Poly = Union[Cubic, Quartic, Quintic]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .numeric import (
     _compare_exact,
     sum_terms,
 )
+from .oracle import solve
 from .poly import (
     Cubic,
     Quartic,
@@ -78,13 +79,8 @@ NATURE_STRUCTURE = {
     Nature.QUADRUPLE_ROOT: (4, (4,)),
 }
 
-_ZERO_DISC_NATURES = {
-    Nature.TWO_EQUAL_REAL,
-    Nature.FOUR_REAL_DOUBLE_PAIR,
-    Nature.TWO_DOUBLE_PAIRS,
-    Nature.TRIPLE_PLUS_SINGLE,
-    Nature.QUADRUPLE_ROOT,
-}
+#: the natures with a repeated root, where the discriminant vanishes
+_ZERO_DISC_NATURES = {n for n, (_, m) in NATURE_STRUCTURE.items() if max(m, default=0) > 1}
 
 
 @dataclass(frozen=True)
@@ -452,6 +448,16 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
         eps=tol.eps,
         _source=(q, tol),
     )
+
+
+def _verdict_roots(cls: QuarticClassification) -> Optional[RootSet]:
+    """The roots a verdict reports: the closed form where the discriminant
+    vanishes, else the oracle's when the nature has real roots, else None."""
+    if cls.closed_form_roots is not None:
+        return cls.closed_form_roots
+    if NATURE_STRUCTURE[cls.nature][0] > 0:
+        return solve(cls._source[0].as_float())
+    return None
 
 
 def _cascade(sign: Callable[[str], int]) -> ClassificationCase:

@@ -23,6 +23,7 @@ from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance
 from .poly import Quartic
 from .quartic import (
+    NATURE_STRUCTURE,
     DoublePairPosition,
     Nature,
     _b_gap,
@@ -36,13 +37,6 @@ from .quartic import (
     classify_quartic,
     quartic_thresholds,
 )
-
-_FOUR_REAL_OPEN = {Nature.FOUR_DISTINCT_REAL}
-_FOUR_REAL_POINT = {
-    Nature.FOUR_REAL_DOUBLE_PAIR,
-    Nature.TWO_DOUBLE_PAIRS,
-    Nature.TRIPLE_PLUS_SINGLE,
-}
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def admissible_b_range(a, nature: Nature, tol: Tolerance = DEFAULT_TOL) -> Admis
     thr = _b_threshold(a)
     if nature is Nature.QUADRUPLE_ROOT:
         return Admissible(points=(thr,))
-    if nature in _FOUR_REAL_OPEN or nature in _FOUR_REAL_POINT:
+    if NATURE_STRUCTURE[nature][0] == 4:
         return Admissible(intervals=(((None, thr)),))
     # zero- and two-real natures: the half-line above keeps the free-term
     # discriminant single-rooted, which every such nature admits
@@ -95,7 +89,7 @@ def admissible_c_range(a, b, nature: Nature,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
     """Admissible linear coefficients once a and b are fixed."""
     q0 = Quartic(a, b, 0, 0)
-    if nature in (Nature.NO_REAL, Nature.TWO_EQUAL_REAL, Nature.TWO_DISTINCT_REAL):
+    if NATURE_STRUCTURE[nature][0] < 4:
         return Admissible(intervals=((None, None),))
     point, lam, sign = _sign_test(q0, tol)
     s_b = sign(_b_terms(point))

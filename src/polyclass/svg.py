@@ -12,9 +12,8 @@ from .cubic import TriangleData, triangle_data
 from .errors import NoTriangle
 from .geometry import tetrahedron_data
 from .numeric import DEFAULT_TOL, Tolerance
-from .oracle import DEFAULT_CONFIG, solve
 from .poly import Cubic, Quartic
-from .quartic import NATURE_STRUCTURE, classify_quartic
+from .quartic import _verdict_roots, classify_quartic
 
 WIDTH, HEIGHT = 800, 600
 
@@ -115,13 +114,8 @@ def render_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> str:
 def render_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> str:
     """Derivative triangle plus tetrahedron projections and landmark markers."""
     tet = tetrahedron_data(float(q.a), float(q.b))  # raises NoTetrahedron
-    cls = classify_quartic(q, tol)
-    if cls.closed_form_roots is not None:
-        roots = [v for v, m in cls.closed_form_roots.roots for _ in range(m)]
-    elif NATURE_STRUCTURE[cls.nature][0] > 0:
-        roots = list(solve(q, DEFAULT_CONFIG).expanded())
-    else:
-        roots = []
+    rs = _verdict_roots(classify_quartic(q, tol))
+    roots = list(rs.expanded()) if rs is not None else []
     deriv, _ = q.as_float().derivative_monic()
     try:
         tri = triangle_data(deriv, tol)

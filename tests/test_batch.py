@@ -21,6 +21,7 @@ from polyclass.batch import (
     NATURE_BY_CODE,
     NATURE_CODE_BY_CASE,
     REAL_COUNT_BY_CODE,
+    REPEATED_BY_CODE,
     _INDEX,
     _inverse_row_sums,
     _numpy_order_sum,
@@ -126,6 +127,27 @@ def _same_bits(x, y):
 #: their exact roots
 MULTIPLE_ROOTS = np.array([[0.0, 0.0, 0.0, 0.0], [-4.0, 6.0, -4.0, 1.0], [0.0, -2.0, 0.0, 1.0]])
 EXACT_ROOTS = [[0.0] * 4, [1.0] * 4, [-1.0, -1.0, 1.0, 1.0]]
+
+
+class TestNatureTables:
+    def test_codes_keep_their_order(self):
+        # stored codes and the benchmark's nature -> code map depend on it
+        assert NATURE_BY_CODE == (
+            Nature.NO_REAL,
+            Nature.TWO_EQUAL_REAL,
+            Nature.TWO_DISTINCT_REAL,
+            Nature.FOUR_DISTINCT_REAL,
+            Nature.FOUR_REAL_DOUBLE_PAIR,
+            Nature.TWO_DOUBLE_PAIRS,
+            Nature.TRIPLE_PLUS_SINGLE,
+            Nature.QUADRUPLE_ROOT,
+        )
+
+    def test_real_counts_and_repeats_by_code(self):
+        assert REAL_COUNT_BY_CODE.dtype == np.int8
+        assert REAL_COUNT_BY_CODE.tolist() == [0, 2, 2, 4, 4, 4, 4, 4]
+        assert REPEATED_BY_CODE.dtype == np.int8
+        assert REPEATED_BY_CODE.tolist() == [0, 1, 0, 0, 1, 1, 1, 1]
 
 
 class TestClassifyBatch:

@@ -141,6 +141,29 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["eps"] == 1e-6
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_is_an_error_report(self, capsys, eps):
+        # unchecked, such an eps reads (x^2 - 1)^2 as two_distinct_real or quadruple_root
+        code, out, _ = run(capsys, "classify", "--quartic", "0", "-2", "0", "1",
+                           "--tol", eps, "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
+    def test_oracle_check_solves_once(self, capsys, monkeypatch):
+        import polyclass.cli as cli_mod
+        import polyclass.quartic as quartic_mod
+
+        calls = []
+        for mod in (cli_mod, quartic_mod):
+            monkeypatch.setattr(mod, "solve",
+                                lambda p, solve=mod.solve: calls.append(p) or solve(p))
+        code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.95",
+                           "--oracle-check", "--json")
+        data = json.loads(out)
+        assert code == 0 and data["roots_source"] == "oracle"
+        assert data["oracle"]["roots"] == data["roots"]
+        assert len(calls) == 1
+
 
 class TestLocalizeCommand:
     def test_high_branch_example(self, capsys):
@@ -234,6 +257,12 @@ class TestRenderCommand:
         code, _, err = run(capsys, "render", "--cubic", "1", "1", "1",
                            "--out", str(tmp_path / "x.svg"))
         assert code == 1 and "NoTriangle" in err
+
+    def test_unwritable_path_is_an_error_report(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "render", "--cubic", "0", "-1", "0",
+                           "--out", str(tmp_path / "missing" / "x.svg"), "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
 class TestSelftest:

@@ -101,6 +101,17 @@ def test_scale_counts_as_at_least_the_smallest_normal():
     assert Tolerance(0.0).sign_terms((27 * tiny, -26 * tiny)) == 1
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_tolerance_rejects_nan_infinite_and_negative_eps(eps):
+    with pytest.raises(ValueError):
+        Tolerance(eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-9, 0.5, 1e300])
+def test_tolerance_accepts_finite_nonnegative_eps(eps):
+    assert Tolerance(eps).eps == eps
+
+
 def test_exact_sign_of_huge_fractions_needs_no_float():
     huge = Fraction(10**400, 3)
     assert Tolerance().sign_terms((huge, -huge / 2)) == 1

@@ -425,6 +425,46 @@ class TestDegenerateThresholds:
         assert cls.nature in _ZERO_DISC_NATURES
 
 
+#: one quartic per nature
+ONE_PER_NATURE = {
+    Nature.NO_REAL: (0, 0, 0, 1),  # x^4 + 1
+    Nature.TWO_EQUAL_REAL: (-2, 2, -2, 1),  # (x - 1)^2 (x^2 + 1)
+    Nature.TWO_DISTINCT_REAL: (0, 0, 0, -1),  # x^4 - 1
+    Nature.FOUR_DISTINCT_REAL: (3, 2, -1, -0.95),
+    Nature.FOUR_REAL_DOUBLE_PAIR: (-1, -7, 13, -6),  # (x - 1)^2 (x - 2)(x + 3)
+    Nature.TWO_DOUBLE_PAIRS: (0, -2, 0, 1),  # (x^2 - 1)^2
+    Nature.TRIPLE_PLUS_SINGLE: (0, -6, 8, -3),  # (x - 1)^3 (x + 3)
+    Nature.QUADRUPLE_ROOT: (4, 6, 4, 1),  # (x + 1)^4
+}
+
+
+class TestNatureFacts:
+    def test_zero_disc_natures_are_the_repeated_root_natures(self):
+        assert quartic_mod._ZERO_DISC_NATURES == {
+            Nature.TWO_EQUAL_REAL,
+            Nature.FOUR_REAL_DOUBLE_PAIR,
+            Nature.TWO_DOUBLE_PAIRS,
+            Nature.TRIPLE_PLUS_SINGLE,
+            Nature.QUADRUPLE_ROOT,
+        }
+
+    @pytest.mark.parametrize("nature", list(Nature))
+    def test_verdict_roots_are_the_closed_form_else_the_oracle(self, nature):
+        q = Quartic(*map(float, ONE_PER_NATURE[nature]))
+        cls = classify_quartic(q)
+        assert cls.nature is nature
+        roots = quartic_mod._verdict_roots(cls)
+        if nature is Nature.NO_REAL:
+            assert roots is None
+        elif nature in (Nature.TWO_DISTINCT_REAL, Nature.FOUR_DISTINCT_REAL):
+            assert cls.closed_form_roots is None
+            assert roots == solve(q)
+        else:
+            assert roots is not None and roots is cls.closed_form_roots
+        count, _ = NATURE_STRUCTURE[nature]
+        assert (0 if roots is None else roots.real_count) == count
+
+
 class TestFloatVsExactAgreement:
     def test_dyadic_samples_agree_off_the_fragile_shell(self, rng):
         # the float cascade and the exact cascade must agree wherever the
