@@ -118,8 +118,9 @@ def parse_argv(argv: Sequence[str]) -> Tuple[str, Dict]:
     return command, opts
 
 
-def _tolerance(opts) -> Tolerance:
-    return Tolerance(float(opts.get("tol", DEFAULT_EPS)))
+def _mode(opts) -> Tuple[bool, Tolerance]:
+    """The arithmetic (exact or float) and the sign-test tolerance of a command."""
+    return bool(opts.get("exact")), Tolerance(float(opts.get("tol", DEFAULT_EPS)))
 
 
 def _numbers(opts, key, exact) -> List:
@@ -209,7 +210,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
 def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
                            oracle_check: bool) -> Tuple[Report, int]:
     cls = cubic_mod.classify_cubic(cu, tol)
-    roots = cubic_mod.viete_roots(cu, tol)
+    roots = cubic_mod._verdict_roots(cu, cls, tol)
     fragile = any(c.fragile for c in cls.comparisons)
     theta = isolation = triangle = None
     if cls.triangle is not None:
@@ -243,8 +244,7 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
 
 
 def cmd_classify(opts) -> Tuple[Report, int]:
-    exact = bool(opts.get("exact"))
-    tol = _tolerance(opts)
+    exact, tol = _mode(opts)
     oracle_check = bool(opts.get("oracle_check"))
     if "quartic" in opts:
         q = Quartic(*_numbers(opts, "quartic", exact))
@@ -259,8 +259,7 @@ def cmd_classify(opts) -> Tuple[Report, int]:
 
 
 def cmd_localize(opts) -> Tuple[Report, int]:
-    exact = bool(opts.get("exact"))
-    tol = _tolerance(opts)
+    exact, tol = _mode(opts)
     if "quartic" not in opts:
         raise CliError("localize needs --quartic A B C D")
     q = Quartic(*_numbers(opts, "quartic", exact))
@@ -298,8 +297,7 @@ def _admissible_payload(adm) -> Dict:
 
 
 def cmd_synthesize(opts) -> Tuple[Report, int]:
-    exact = bool(opts.get("exact"))
-    tol = _tolerance(opts)
+    exact, tol = _mode(opts)
     name = opts.get("nature")
     if name not in NATURE_NAMES:
         raise CliError(f"--nature must be one of {', '.join(sorted(NATURE_NAMES))}")
@@ -349,8 +347,7 @@ def cmd_synthesize(opts) -> Tuple[Report, int]:
 
 
 def cmd_quintic(opts) -> Tuple[Report, int]:
-    exact = bool(opts.get("exact"))
-    tol = _tolerance(opts)
+    exact, tol = _mode(opts)
     if "coeffs" not in opts:
         raise CliError("quintic needs --coeffs P Q R S T")
     p, q, r, s, t = _numbers(opts, "coeffs", exact)
@@ -385,14 +382,14 @@ def cmd_quintic(opts) -> Tuple[Report, int]:
 
 
 def cmd_render(opts) -> Tuple[Report, int]:
-    tol = _tolerance(opts)
+    exact, tol = _mode(opts)
     if "out" not in opts:
         raise CliError("render needs --out FILE.svg")
     if "cubic" in opts:
-        svg = render_cubic(Cubic(*_numbers(opts, "cubic", False)), tol)
+        svg = render_cubic(Cubic(*_numbers(opts, "cubic", exact)), tol)
         kind = "cubic"
     elif "quartic" in opts:
-        svg = render_quartic(Quartic(*_numbers(opts, "quartic", False)), tol)
+        svg = render_quartic(Quartic(*_numbers(opts, "quartic", exact)), tol)
         kind = "quartic"
     else:
         raise CliError("render needs --cubic or --quartic")

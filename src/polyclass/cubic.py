@@ -215,15 +215,19 @@ def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
         w, outside = _acos_argument(a, b, c, s2, tol)
         if not outside:
             return "three", _three_roots(third, amp, _angle(w))
-        candidates = _three_roots(third, amp, cmath.acos(complex(w)) / 3.0, cmath.cos)
     else:
         # mirrored formulas: inverted radical signs, and the product relation
         # flips the arccos argument sign as well
         s = cmath.sqrt(complex(s2))
         w = sum_terms(_acos_numerator_terms(a, b, c)) / (2.0 * s ** 3)
-        candidates = _three_roots(third, -(2.0 / 3.0 * s), cmath.acos(w) / 3.0, cmath.cos)
-    real = min(candidates, key=lambda z: abs(z.imag))
-    return "one", real.real
+        amp = -(2.0 / 3.0 * s)
+    return "one", _single_real(third, amp, w)
+
+
+def _single_real(third, amp, w) -> float:
+    """The real one of the trigonometric roots for an arccos argument w outside [-1, 1]."""
+    candidates = _three_roots(third, amp, cmath.acos(w) / 3.0, cmath.cos)
+    return min(candidates, key=lambda z: abs(z.imag)).real
 
 
 def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
@@ -242,6 +246,21 @@ def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
     values = sorted(payload)
     residuals = [abs(cu_f(v)) for v in values]
     return root_set_from_values(values, residuals, degree=3, merge_tol=1e-6)
+
+
+def _verdict_roots(cu: Cubic, cls: CubicClassification, tol: Tolerance) -> RootSet:
+    """viete_roots held to the verdict ``cls``.  Next to a double root the arccos test
+    of viete_values, looser than the discriminant, can read three real roots where
+    ``cls`` has one; the root is then the one-real branch's at w just outside [-1, 1]."""
+    roots = viete_roots(cu, tol)
+    if cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR and roots.complex_pairs == 0:
+        a, b = float(cu.a), float(cu.b)
+        s2 = a * a - 3.0 * b
+        w = _acos_argument(a, b, float(cu.c), s2, tol)[0]
+        w = math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w)
+        x = _single_real(-a / 3.0, 2.0 / 3.0 * math.sqrt(s2), w)
+        roots = RootSet(((x, 1),), 1, (abs(cu.as_float()(x)),), 3)
+    return roots
 
 
 def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -193,21 +193,19 @@ def _partitions(n: int):
     yield from rec(0, [])
 
 
-def _cluster(points: List[complex], coeffs: Sequence[float],
+def _cluster(points: List[complex], derivs: List[List[float]], scale: float,
              cfg: OracleConfig) -> List[List[complex]]:
     """Coarsest admissible grouping of root approximations.
 
     A group of size m is admissible when its diameter fits the merge
     tolerance or the theoretical scatter of an m-fold root at its centroid.
     Degrees are at most 5, so trying every partition (<= 52) is cheap and
-    avoids greedy merge ordering artifacts.
+    avoids greedy merge ordering artifacts.  ``points`` come sorted, as
+    _aberth returns them.
     """
-    pts = sorted(points, key=sort_key_complex)
-    scale = 1.0 + max(abs(z) for z in pts)
-    derivs = _derivative_coeffs(coeffs)
     best = None
-    for parts in _partitions(len(pts)):
-        clusters = [[pts[i] for i in group] for group in parts]
+    for parts in _partitions(len(points)):
+        clusters = [[points[i] for i in group] for group in parts]
         if not all(_cluster_ok(cl, derivs, cfg.cluster_tol, scale) for cl in clusters):
             continue
         key = (len(clusters), sum(_diameter(cl) for cl in clusters))
@@ -250,12 +248,12 @@ def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
     return z
 
 
-def _clustered_roots(coeffs: Sequence[float], cfg: OracleConfig) -> List[Tuple[complex, int]]:
+def _clustered_roots(coeffs: Sequence[float], derivs: List[List[float]],
+                     cfg: OracleConfig) -> List[Tuple[complex, int]]:
     raw = _aberth(coeffs, cfg)
-    derivs = _derivative_coeffs(coeffs)
     scale = 1.0 + max(abs(z) for z in raw)
     out = []
-    for cluster in _cluster(raw, coeffs, cfg):
+    for cluster in _cluster(raw, derivs, scale, cfg):
         m = len(cluster)
         z = _centroid(cluster)
         diam = _diameter(cluster)
@@ -273,7 +271,7 @@ def all_roots(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> List[complex]:
     """All complex roots repeated by multiplicity (cluster representatives)."""
     coeffs = monic_coefficients(poly)
     out: List[complex] = []
-    for z, m in _clustered_roots(coeffs, cfg):
+    for z, m in _clustered_roots(coeffs, _derivative_coeffs(coeffs), cfg):
         out.extend([z] * m)
     return out
 
@@ -283,7 +281,7 @@ def solve(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> RootSet:
     coeffs = monic_coefficients(poly)
     n = len(coeffs) - 1
     derivs = _derivative_coeffs(coeffs)
-    clusters = _clustered_roots(coeffs, cfg)
+    clusters = _clustered_roots(coeffs, derivs, cfg)
     scale = 1.0 + max(abs(z) for z, _ in clusters)
     real: List[Tuple[float, int]] = []
     cplx: List[Tuple[complex, int]] = []

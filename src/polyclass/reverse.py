@@ -66,6 +66,8 @@ class NatureTarget:
     def __post_init__(self):
         if self.strategy not in ("midpoint", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not 0 < self.window < math.inf:
+            raise ValueError(f"window must be finite and positive, got {self.window!r}")
 
 
 def _b_threshold(a) -> float:
@@ -194,10 +196,6 @@ def admissible_d_range(a, b, c, nature: Nature,
 # --- sampling -------------------------------------------------------------------
 
 
-def _rng(target: NatureTarget) -> random.Random:
-    return random.Random(0 if target.seed is None else target.seed)
-
-
 def _pick(adm: Admissible, target: NatureTarget, rng: random.Random,
           pad: float = 0.05) -> float:
     if adm.empty:
@@ -235,7 +233,7 @@ def synthesize(target: NatureTarget, tol: Tolerance = DEFAULT_TOL) -> Quartic:
     RoundTripMismatch if the built quartic fails to classify back (an
     internal bug guard).
     """
-    rng = _rng(target)
+    rng = random.Random(0 if target.seed is None else target.seed)
     attempts = 6 if target.strategy == "random" else 1
     mismatch = None
     for attempt in range(attempts):
@@ -343,10 +341,8 @@ def _synthesize_exact(target: NatureTarget, rng: random.Random,
         c_high, c_low = c0 + t ** 3 / 8, c0 - t ** 3 / 8
         if cq is None:
             c = c_high if target.strategy == "midpoint" or rng.random() < 0.5 else c_low
-        elif cq == c_high:
-            c = c_high
-        elif cq == c_low:
-            c = c_low
+        elif cq in (c_high, c_low):
+            c = cq
         else:
             raise Unachievable("exact triple-root synthesis needs c = C1 or c = C2 exactly")
         high = c == c_high
@@ -394,38 +390,35 @@ def _exact_double_pair(target: NatureTarget, a: Fraction, bq, cq,
         u, v, w = u + shift, v + shift, w + shift
     else:
         # v + w and v*w are forced; u must make (v-w)^2 a rational square
-        found = None
-        for k in range(1, 4000):
-            for u in (Fraction(k, 8), Fraction(-k, 8)):
-                disc = a * a - 4 * a * u - 8 * u * u - 4 * bq
-                root = _rational_sqrt(disc) if disc > 0 else None
-                if root is None or root == 0:
-                    continue
-                e = a + 2 * u
-                v = (-e - root) / 2
-                w = (-e + root) / 2
-                if u == v or u == w:
-                    continue
-                pos = _pair_position(u, v, w)
-                if target.position is None or pos is target.position:
-                    found = (u, v, w)
-                    break
-            if found:
+        for u, e, f in _forced_factors(a, bq, 1):
+            root = _rational_sqrt(e * e - 4 * f)  # None below 0; 0 makes v = w
+            if not root:
+                continue
+            v = (-e - root) / 2
+            w = (-e + root) / 2
+            if u == v or u == w:
+                continue
+            pos = _pair_position(u, v, w)
+            if target.position is None or pos is target.position:
                 break
-        if not found:
+        else:
             raise Unachievable(
                 "no rational double-pair configuration matches the fixed a, b"
             )
-        u, v, w = found
-    return Quartic(*_expand_double_pair(u, v, w))
+    return _with_double_root(u, -(v + w), v * w)
 
 
-def _expand_double_pair(u, v, w):
-    a = -(2 * u + v + w)
-    b = u * u + 2 * u * (v + w) + v * w
-    c = -(u * u * (v + w) + 2 * u * v * w)
-    d = u * u * v * w
-    return a, b, c, d
+def _forced_factors(a, b, first: int):
+    """(u, e, f) such that (x-u)^2 (x^2 + e x + f) starts x^4 + a x^3 + b x^2,
+    for u on the search grid k/8, -k/8 with k = first, first + 1, ..., 3999."""
+    for k in range(first, 4000):
+        for u in (Fraction(k, 8), Fraction(-k, 8)):
+            yield u, a + 2 * u, b + 2 * a * u + 3 * u * u
+
+
+def _with_double_root(u, e, f) -> Quartic:
+    """The quartic (x-u)^2 (x^2 + e x + f)."""
+    return Quartic(e - 2 * u, f - 2 * u * e + u * u, u * u * e - 2 * u * f, u * u * f)
 
 
 def _exact_two_equal(target: NatureTarget, a: Fraction, bq, cq,
@@ -440,22 +433,11 @@ def _exact_two_equal(target: NatureTarget, a: Fraction, bq, cq,
             rng, -target.window / 2, target.window / 2)
         e = a + 2 * u
         f = e * e / 4 + _offset(target, rng)
-        b = f - 2 * a * u - 3 * u * u
     else:
-        b = bq
-        # need h(u) = 2u^2 + a u + b - a^2/4 > 0
-        u = None
-        for k in range(0, 4000):
-            for cand in (Fraction(k, 8), Fraction(-k, 8)):
-                if 2 * cand * cand + a * cand + b - a * a / 4 > 0:
-                    u = cand
-                    break
-            if u is not None:
+        # the quadratic factor must have complex roots
+        for u, e, f in _forced_factors(a, bq, 0):
+            if e * e < 4 * f:
                 break
-        if u is None:
+        else:
             raise Unachievable("no rational double root location for the fixed a, b")
-        e = a + 2 * u
-        f = b + 2 * a * u + 3 * u * u
-    c = u * u * e - 2 * u * f
-    d = u * u * f
-    return Quartic(a, b, c, d)
+    return _with_double_root(u, e, f)

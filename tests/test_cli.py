@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,36 @@ class TestClassifyCommand:
         # isolation classified the cubic a second time
         assert len(sign_tests) <= 4
 
+    def test_one_real_verdict_reports_one_real_root(self, capsys):
+        # the exact discriminant is -1.4e-9; the arccos test alone reads |w| <= 1
+        # and would list a double root at -0.04379 and a single one at 1.47461
+        code, out, _ = run(capsys, "classify", "--cubic", "-1.3870346645816403",
+                           "-0.1272221688670459", "-0.0028273608726040165", "--json")
+        data = json.loads(out)
+        assert code == 0 and data["fragile"] is False
+        assert data["classification"]["kind"] == "one_real_plus_complex_pair"
+        assert data["complex_pairs"] == 1
+        [root] = data["roots"]
+        assert root["multiplicity"] == 1
+        assert root["value"] == pytest.approx(1.47461, abs=1e-5)
+
+    def test_one_real_verdicts_near_a_double_root(self):
+        # (x - u)^2 (x - v) with c moved off the double root by 1e-14 to 1e-8
+        from polyclass import cli
+
+        rng = random.Random(2024)
+        one_real = 0
+        for _ in range(5000):
+            u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            shift = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14, -8)
+            coeffs = (-(2 * u + v), u * u + 2 * u * v, -u * u * v + shift)
+            data = cli.cmd_classify({"cubic": [repr(x) for x in coeffs]})[0].data
+            if data["classification"]["kind"] == "one_real_plus_complex_pair":
+                one_real += 1
+                assert data["complex_pairs"] == 1, coeffs
+                assert [r["multiplicity"] for r in data["roots"]] == [1], coeffs
+        assert one_real > 100
+
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.9288",
                            "--tol", "1e-6", "--json")
@@ -203,6 +234,15 @@ class TestSynthesizeCommand:
         code, _, err = run(capsys, "synthesize", "--nature", "bogus", "--a", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("window", ["-5", "0", "nan", "inf"])
+    def test_window_must_be_finite_and_positive(self, capsys, window):
+        code, out, _ = run(capsys, "synthesize", "--nature", "four-distinct", "--a", "2",
+                           "--strategy", "random", "--seed", "1", "--window", window,
+                           "--json")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and "window" in error["message"]
+
     def test_unachievable_maps_to_error_object(self, capsys):
         code, out, _ = run(capsys, "synthesize", "--nature", "quadruple", "--a", "4",
                            "--b", "5", "--json")
@@ -258,11 +298,92 @@ class TestRenderCommand:
                            "--out", str(tmp_path / "x.svg"))
         assert code == 1 and "NoTriangle" in err
 
+    def test_exact_quartic_parses_fractions(self, capsys, tmp_path):
+        exact, flt = tmp_path / "exact.svg", tmp_path / "float.svg"
+        code, out, _ = run(capsys, "render", "--quartic", "3", "2", "-1", "-19/20",
+                           "--exact", "--out", str(exact), "--json")
+        assert code == 0
+        assert json.loads(out)["kind"] == "quartic"
+        run(capsys, "render", "--quartic", "3", "2", "-1", "-0.95", "--out", str(flt))
+        assert exact.read_bytes() == flt.read_bytes()
+
     def test_unwritable_path_is_an_error_report(self, capsys, tmp_path):
         code, out, _ = run(capsys, "render", "--cubic", "0", "-1", "0",
                            "--out", str(tmp_path / "missing" / "x.svg"), "--json")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
+class TestTextMode:
+    """The plain-text report of each command: its key lines."""
+
+    def test_classify_quartic_float(self, capsys):
+        code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.95",
+                           "--oracle-check")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "case (xvii): four_distinct_real"
+        assert lines[1] == "  C2=-1.25264  C0=-0.375  C1=0.502642"
+        assert lines[2] == "  d-roots: 0.0967346  -0.928766  -1"
+        assert lines[3] == ("roots: -1.53787 (x1)  -1.27873 (x1)  -0.792769 (x1)"
+                            "  0.609367 (x1)  complex pairs: 0")
+        assert lines[4] == "oracle check: real-count agreement = True"
+
+    def test_classify_quartic_exact(self, capsys):
+        code, out, _ = run(capsys, "classify", "--quartic", "0", "-2", "0", "1",
+                           "--exact")
+        assert code == 2
+        assert out.splitlines() == [
+            "case (xxvi): two_double_pairs",
+            "  C2=-1.5396  C0=0  C1=1.5396",
+            "  d_dagger=1  d_tilde=0",
+            "roots: -1 (x2)  1 (x2)  complex pairs: 0",
+            "warning: boundary-fragile comparisons: c_vs_C0, d_vs_d_dagger",
+        ]
+
+    def test_classify_quartic_without_real_roots(self, capsys):
+        code, out, _ = run(capsys, "classify", "--quartic", "1", "1", "1", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "  C2=n/a  C0=0.375  C1=n/a"
+        assert out.splitlines()[-1] == "roots: none real  complex pairs: 2"
+
+    def test_localize(self, capsys):
+        code, out, _ = run(capsys, "localize", "--quartic", "-4", "5", "-1.75", "-0.2")
+        assert code == 0
+        assert out.splitlines() == [
+            "branch: high_c  (tie at C0: False)",
+            "  root -0.0896428 in [-0.224745, 0.292893]: True",
+            "  root 0.868239 in [0.183503, 1.40825]: True",
+            "  root 1.45353 in [1, 1.70711]: True",
+            "  root 1.76787 in [1.40825, 2.22474]: True",
+        ]
+
+    def test_synthesize(self, capsys):
+        code, out, _ = run(capsys, "synthesize", "--nature", "double-pair", "--a", "1",
+                           "--b", "-6", "--exact", "--position", "lowest")
+        assert code == 0
+        assert out.splitlines() == [
+            "quartic: a=1 b=-6 c=-4 d=8",
+            "  admissible b: intervals: (-inf, 0.375)  points: none",
+            "  admissible c: intervals: (-11.8866, -25/8)  points: none",
+            "  admissible d: intervals: none  points: 8",
+            "classified: four_real_double_pair (case xvi), round trip ok: True",
+        ]
+
+    def test_quintic(self, capsys):
+        code, out, _ = run(capsys, "quintic", "--coeffs", "1", "-2", "0.5", "0.25", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "delta5 coefficients (t^4..t^0): 3125  16581  2656.5  78  -2.64062",
+            "delta5 at t: -2.64062",
+            "delta_t=-1.10407e+17  delta_tilde_s=1.50997e+15  delta_tilde_r=13824",
+            "sign changes: 2  t-roots: -5.14153  0.0194306",
+        ]
+
+    def test_quintic_degenerate_at_boundary(self, capsys):
+        code, out, _ = run(capsys, "quintic", "--coeffs", "0", "0", "0", "0", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "sign changes: degenerate at boundary"
 
 
 class TestSelftest:

@@ -1,5 +1,6 @@
 """Reverse-engineering: admissible coefficient sets and round-trip synthesis."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -214,7 +215,72 @@ class TestRoundTrip:
             synthesize(NatureTarget(nature=Nature.TRIPLE_PLUS_SINGLE, a=Fraction(3),
                                     b=Fraction(1, 7), exact=True))
 
+    @pytest.mark.parametrize("window", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_window_must_be_finite_and_positive(self, window):
+        with pytest.raises(ValueError, match="window"):
+            NatureTarget(nature=Nature.FOUR_DISTINCT_REAL, a=2.0, strategy="random",
+                         seed=1, window=window)
+
     def test_window_controls_sampling(self):
         q = synthesize(NatureTarget(nature=Nature.NO_REAL, a=0.0,
                                     strategy="random", seed=3, window=2.0))
         assert classify_quartic(q).nature is Nature.NO_REAL
+
+
+class TestExactFixedB:
+    """Exact synthesis from rational root data with b fixed by the caller."""
+
+    @pytest.mark.parametrize("position, c, d", [
+        (None, Fraction(-25, 4), Fraction(-25, 16)),
+        (DoublePairPosition.LOWEST_TWO, Fraction(-4), Fraction(8)),
+        (DoublePairPosition.MIDDLE_TWO, Fraction(-25, 4), Fraction(-25, 16)),
+        (DoublePairPosition.HIGHEST_TWO, Fraction(-9, 4), Fraction(135, 16)),
+    ])
+    def test_double_pair_positions(self, position, c, d):
+        q = synthesize(NatureTarget(nature=Nature.FOUR_REAL_DOUBLE_PAIR, a=Fraction(1),
+                                    b=Fraction(-6), position=position, exact=True))
+        assert (q.a, q.b, q.c, q.d) == (1, -6, c, d)
+        cls = classify_quartic(q)
+        assert cls.nature is Nature.FOUR_REAL_DOUBLE_PAIR
+        assert cls.position is (position or DoublePairPosition.MIDDLE_TWO)
+
+    def test_double_pair_without_rational_configuration(self):
+        # (v - w)^2 = -8u^2 + 4 is a rational square for no u = k/8, |k| < 4000
+        with pytest.raises(Unachievable,
+                           match="no rational double-pair configuration matches"):
+            synthesize(NatureTarget(nature=Nature.FOUR_REAL_DOUBLE_PAIR, a=Fraction(0),
+                                    b=Fraction(-1), exact=True))
+
+    @pytest.mark.parametrize("nature", [Nature.FOUR_REAL_DOUBLE_PAIR,
+                                        Nature.TWO_EQUAL_REAL])
+    def test_fixed_c_unachievable(self, nature):
+        with pytest.raises(Unachievable, match="supports fixing a and b only"):
+            synthesize(NatureTarget(nature=nature, a=Fraction(0), b=Fraction(-1),
+                                    c=Fraction(1), exact=True))
+
+    @pytest.mark.parametrize("a, b, c, d", [
+        # u = 0 passes at once (the grid starts at k = 0)
+        (Fraction(1), Fraction(5), Fraction(0), Fraction(0)),
+        # u = 1/8 and -1/8 both pass; +k/8 is tried first
+        (Fraction(0), Fraction(0), Fraction(-1, 128), Fraction(3, 4096)),
+        (Fraction(1), Fraction(-3), Fraction(-351, 128), Fraction(15795, 4096)),
+        (Fraction(2), Fraction(-7, 3), Fraction(-16, 3), Fraction(14, 3)),
+    ])
+    def test_two_equal(self, a, b, c, d):
+        q = synthesize(NatureTarget(nature=Nature.TWO_EQUAL_REAL, a=a, b=b, exact=True))
+        assert (q.a, q.b, q.c, q.d) == (a, b, c, d)
+        assert classify_quartic(q).nature is Nature.TWO_EQUAL_REAL
+
+    @pytest.mark.parametrize("fixed, message", [
+        ({"b": Fraction(5)}, "a quadruple root needs b = 3a^2/8 exactly"),
+        ({"c": Fraction(5)}, "a quadruple root needs c = a^3/16 exactly"),
+    ])
+    def test_quadruple_mismatch(self, fixed, message):
+        with pytest.raises(Unachievable, match=re.escape(message)):
+            synthesize(NatureTarget(nature=Nature.QUADRUPLE_ROOT, a=Fraction(4),
+                                    exact=True, **fixed))
+
+    def test_quadruple_matching_prefix(self):
+        q = synthesize(NatureTarget(nature=Nature.QUADRUPLE_ROOT, a=Fraction(4),
+                                    b=Fraction(6), c=Fraction(4), exact=True))
+        assert (q.a, q.b, q.c, q.d) == (4, 6, 4, 1)
