@@ -235,7 +235,11 @@ def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
 
     Raises OverflowError when the formulas overflow to a non-finite root.
     """
-    kind, payload = viete_values(cu, tol)
+    return _root_set(cu, *viete_values(cu, tol))
+
+
+def _root_set(cu: Cubic, kind, payload) -> RootSet:
+    """The RootSet of viete_values' (kind, payload)."""
     if not all(math.isfinite(v) for v in (payload if kind == "three" else (payload,))):
         raise OverflowError(_OVERFLOW)
     cu_f = cu.as_float()
@@ -248,19 +252,36 @@ def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
     return root_set_from_values(values, residuals, degree=3, merge_tol=1e-6)
 
 
+def _held_values(cu: Cubic, three: bool, tol: Tolerance):
+    """viete_values held to a count of real roots that a sign test decided.
+
+    Next to a double root the arccos test of viete_values, looser than a
+    discriminant sign test, can read the other side of |w| = 1; next to a
+    triple root its a^2 - 3b test can read zero and give one root.  w then
+    moves onto the decided side: into [-1, 1] for three real roots
+    (``three``), just outside it for one.  A triple root, or an a^2 - 3b
+    whose arccos denominator underflows, is left as viete_values gives it.
+    """
+    kind, payload = viete_values(cu, tol)
+    if kind == "triple" or (kind == "three") == three:
+        return kind, payload
+    a, b = float(cu.a), float(cu.b)
+    s2 = a * a - 3.0 * b
+    if not 2.0 * math.sqrt(max(s2, 0.0)) ** 3 > 0.0:
+        return kind, payload  # no arccos argument to move
+    w = _acos_argument(a, b, float(cu.c), s2, tol)[0]
+    third, amp = -a / 3.0, 2.0 / 3.0 * math.sqrt(s2)
+    if three:
+        return "three", _three_roots(third, amp, _angle(w))
+    return "one", _single_real(third, amp, math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w))
+
+
 def _verdict_roots(cu: Cubic, cls: CubicClassification, tol: Tolerance) -> RootSet:
-    """viete_roots held to the verdict ``cls``.  Next to a double root the arccos test
-    of viete_values, looser than the discriminant, can read three real roots where
-    ``cls`` has one; the root is then the one-real branch's at w just outside [-1, 1]."""
-    roots = viete_roots(cu, tol)
-    if cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR and roots.complex_pairs == 0:
-        a, b = float(cu.a), float(cu.b)
-        s2 = a * a - 3.0 * b
-        w = _acos_argument(a, b, float(cu.c), s2, tol)[0]
-        w = math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w)
-        x = _single_real(-a / 3.0, 2.0 / 3.0 * math.sqrt(s2), w)
-        roots = RootSet(((x, 1),), 1, (abs(cu.as_float()(x)),), 3)
-    return roots
+    """viete_roots held to the verdict ``cls``: three real roots, counted by
+    multiplicity, for a two- or three-real verdict, one and a complex pair for
+    a one-real verdict (see _held_values)."""
+    three = cls.kind in (CubicKind.THREE_DISTINCT_REAL, CubicKind.DOUBLE_PLUS_SINGLE)
+    return _root_set(cu, *_held_values(cu, three, tol))
 
 
 def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -90,16 +90,26 @@ def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
     radius = 1.0 + max(abs(c) for c in coeffs[1:])
     # fixed non-symmetric placement: breaks conjugate-symmetry stalls
     z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    # _horner2 and _eval_noise inlined, with their order of operations
+    lead, rest = complex(coeffs[0]), coeffs[1:]
+    abs_coeffs = [abs(c) for c in coeffs]
+    noise_factor = 4.0 * len(coeffs) * MACHEPS
     trace: List[float] = []
     for _ in range(cfg.max_iterations):
         max_step = 0.0
         for k in range(n):
             zk = z[k]
-            p, dp = _horner2(coeffs, zk)
-            if abs(p) <= _eval_noise(coeffs, zk):
+            p, dp = lead, 0j
+            for c in rest:
+                dp = dp * zk + p
+                p = p * zk + c
+            azk, bound = abs(zk), 0.0
+            for ac in abs_coeffs:
+                bound = bound * azk + ac
+            if abs(p) <= noise_factor * bound:
                 continue
             if dp == 0:
-                z[k] = zk + 1e-8 * (1.0 + abs(zk))
+                z[k] = zk + 1e-8 * (1.0 + azk)
                 max_step = math.inf
                 continue
             ratio = p / dp
@@ -109,7 +119,7 @@ def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
                     continue
                 dz = zk - z[j]
                 if dz == 0:
-                    dz = 1e-12 * (1.0 + abs(zk))
+                    dz = 1e-12 * (1.0 + azk)
                 ssum += 1.0 / dz
             denom = 1.0 - ratio * ssum
             w = ratio if denom == 0 else ratio / denom
@@ -176,13 +186,18 @@ def _cluster_ok(points: Sequence[complex], derivs: List[List[float]],
     return diam <= 8.0 * _multiple_root_scatter(derivs, _centroid(points), m)
 
 
-def _partitions(n: int):
-    """All set partitions of range(n) in restricted-growth order."""
+def _partitions(n: int, apart):
+    """Set partitions of range(n) in restricted-growth order, skipping each one
+    with a block that holds a pair i, j with apart[i][j].  Blocks only grow down
+    the recursion, so the branch where i would join a block holding such a j is
+    cut whole, and the partitions left keep their order."""
     def rec(i, groups):
         if i == n:
             yield [list(g) for g in groups]
             return
         for g in groups:
+            if any(apart[j][i] for j in g):
+                continue
             g.append(i)
             yield from rec(i + 1, groups)
             g.pop()
@@ -193,18 +208,41 @@ def _partitions(n: int):
     yield from rec(0, [])
 
 
+def _gate(points: Sequence[complex], derivs: List[List[float]], scale: float,
+          cluster_tol: float) -> float:
+    """The distance beyond which no two points share an admissible group (see
+    _cluster); inf when a point is not finite."""
+    if not all(map(cmath.isfinite, points)):
+        return math.inf
+    noise = _eval_noise(derivs[0], (1.0 + 1e-9) * max(map(abs, points)))
+    return max(cluster_tol * scale, 16.0 * noise ** (1.0 / (len(derivs) - 1)))
+
+
 def _cluster(points: List[complex], derivs: List[List[float]], scale: float,
              cfg: OracleConfig) -> List[List[complex]]:
     """Coarsest admissible grouping of root approximations.
 
     A group of size m is admissible when its diameter fits the merge
     tolerance or the theoretical scatter of an m-fold root at its centroid.
-    Degrees are at most 5, so trying every partition (<= 52) is cheap and
-    avoids greedy merge ordering artifacts.  ``points`` come sorted, as
-    _aberth returns them.
+    The first partition with the fewest groups, then the least summed
+    diameter, wins, in restricted-growth order, so no greedy merge order
+    shows.  ``points`` come sorted, as _aberth returns them.
+
+    Only partitions whose blocks pass a gate are tried.  The k = n term of
+    _multiple_root_scatter is always present and equals
+    _eval_noise(p, centroid) ** (1/n), as p^(n)/n! is 1.  _eval_noise never
+    falls as |z| grows, and no centroid lies farther out than the farthest
+    point.  So a group holding a pair farther apart than
+    max(cluster_tol * scale, 16 * _eval_noise(p, (1 + 1e-9) max|z|) ** (1/n))
+    fails _cluster_ok (see _gate); 16, twice _cluster_ok's 8, and the 1e-9 are
+    slack for rounding.
+    Well-separated points leave the singletons alone.  A point or a gate that
+    is not finite prunes nothing.
     """
+    gate = _gate(points, derivs, scale, cfg.cluster_tol)
+    apart = [[abs(x - y) > gate for y in points] for x in points]
     best = None
-    for parts in _partitions(len(points)):
+    for parts in _partitions(len(points), apart):
         clusters = [[points[i] for i in group] for group in parts]
         if not all(_cluster_ok(cl, derivs, cfg.cluster_tol, scale) for cl in clusters):
             continue
@@ -225,13 +263,14 @@ def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
     """
     if m == 1:
         coeffs = derivs[0]
-        best, best_res = z, abs(_horner2(coeffs, z)[0])
+        p, dp = _horner2(coeffs, z)
+        best, best_res = z, abs(p)
         for _ in range(steps):
-            p, dp = _horner2(coeffs, z)
             if dp == 0:
                 break
             z = z - p / dp
-            res = abs(_horner2(coeffs, z)[0])
+            p, dp = _horner2(coeffs, z)
+            res = abs(p)
             if res < best_res:
                 best, best_res = z, res
         return best

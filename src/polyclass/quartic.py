@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import rshift
 from typing import Callable, List, Optional, Tuple
 
-from .cubic import viete_values
+from .cubic import _held_values, viete_values
 from .numeric import (
     _OVERFLOW,
     DEFAULT_TOL,
@@ -359,8 +359,12 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
             dag = _value(num, denom, lam, 4)
             til = -A - 2 * dag if lam is None else _value(-A * denom - 2 * num, denom, lam, 4)
     else:
-        kind, payload = viete_values(Cubic(*map(float, abc)), tol)
-        d_roots = tuple(sorted(payload, reverse=True)) if kind == "three" else (payload,)
+        # three d-roots just where Delta3 = -K (c - C0)^2 [(c - C1)(c - C2)]^3 > 0:
+        # inside the band, whatever the d-cubic's own arccos test reads
+        three = s_b < 0 and s_band < 0
+        kind, payload = _held_values(Cubic(*map(float, abc)), three, tol)
+        d_roots = (tuple(sorted(payload, reverse=True)) if kind == "three"
+                   else (payload,) * (3 if three else 1))
     _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
 

@@ -150,7 +150,8 @@ class TestClassifyCommand:
         assert root["value"] == pytest.approx(1.47461, abs=1e-5)
 
     def test_one_real_verdicts_near_a_double_root(self):
-        # (x - u)^2 (x - v) with c moved off the double root by 1e-14 to 1e-8
+        # (x - u)^2 (x - v) with c moved off the double root by 1e-14 to 1e-8: a
+        # one-real verdict lists one root and a pair, any other three real roots
         from polyclass import cli
 
         rng = random.Random(2024)
@@ -160,11 +161,26 @@ class TestClassifyCommand:
             shift = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14, -8)
             coeffs = (-(2 * u + v), u * u + 2 * u * v, -u * u * v + shift)
             data = cli.cmd_classify({"cubic": [repr(x) for x in coeffs]})[0].data
+            real = [r["multiplicity"] for r in data["roots"]]
             if data["classification"]["kind"] == "one_real_plus_complex_pair":
                 one_real += 1
                 assert data["complex_pairs"] == 1, coeffs
-                assert [r["multiplicity"] for r in data["roots"]] == [1], coeffs
-        assert one_real > 100
+                assert real == [1], coeffs
+            else:
+                assert (sum(real), data["complex_pairs"]) == (3, 0), coeffs
+        assert 100 < one_real < 4900
+
+    def test_double_plus_single_verdict_reports_three_real_roots(self, capsys):
+        # the arccos test alone reads |w| > 1 and would list one root, -0.48460,
+        # and a complex pair
+        code, out, _ = run(capsys, "classify", "--cubic", "2.263222508251383",
+                           "1.6527957763279557", "0.3832584935443065", "--json")
+        data = json.loads(out)
+        assert code == 2 and data["fragile"] is True
+        assert data["classification"]["kind"] == "double_plus_single"
+        assert data["complex_pairs"] == 0
+        assert [(r["value"], r["multiplicity"]) for r in data["roots"]] == [
+            (pytest.approx(-0.8893103, abs=1e-6), 2), (pytest.approx(-0.4846020, abs=1e-6), 1)]
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.9288",

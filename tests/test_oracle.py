@@ -1,5 +1,7 @@
 """Simultaneous-iteration root finder: values, multiplicities, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from polyclass import (
     discriminant_quartic,
     solve,
 )
+from polyclass import oracle
+from polyclass.numeric import sort_key_complex
 
 from conftest import eval_scale, monic_from_roots
 
@@ -142,3 +146,143 @@ class TestClusterResolution:
         coeffs = monic_from_roots([1.0, 1.0 + 1e-8, -2.0, 3.0])
         rs = solve(coeffs)
         assert rs.multiplicities == (1, 2, 1)
+
+
+# --- the gated partition search against the exhaustive one it replaced -------------
+
+def _reference_partitions(n):
+    """Every set partition of range(n) in restricted-growth order."""
+    def rec(i, groups):
+        if i == n:
+            yield [list(g) for g in groups]
+            return
+        for g in groups:
+            g.append(i)
+            yield from rec(i + 1, groups)
+            g.pop()
+        groups.append([i])
+        yield from rec(i + 1, groups)
+        groups.pop()
+
+    yield from rec(0, [])
+
+
+def _reference_cluster(points, derivs, scale, cfg):
+    """The first admissible partition with the fewest groups, then the least
+    summed diameter, among all of them."""
+    best = None
+    for parts in _reference_partitions(len(points)):
+        clusters = [[points[i] for i in group] for group in parts]
+        if not all(oracle._cluster_ok(cl, derivs, cfg.cluster_tol, scale) for cl in clusters):
+            continue
+        key = (len(clusters), sum(oracle._diameter(cl) for cl in clusters))
+        if best is None or key < best[0]:
+            best = (key, clusters)
+    return best[1]
+
+
+def _hex_groups(groups):
+    return [[(z.real.hex(), z.imag.hex()) for z in g] for g in groups]
+
+
+@st.composite
+def root_points(draw):
+    """2 to 5 points with their monic polynomial: random roots, near-clusters of
+    spread 10^-k (1 + |z|), k = 3..15, exact repeats and conjugate pairs."""
+    n = draw(st.integers(2, 5))
+    value = st.floats(-5, 5, allow_nan=False)
+    roots = []
+    while len(roots) < n:
+        kind = draw(st.sampled_from(("free", "near", "repeat", "pair")))
+        if kind == "pair" and len(roots) <= n - 2:
+            z = complex(draw(value), draw(st.floats(1e-12, 5)))
+            roots += [z, z.conjugate()]
+        elif kind == "near" and roots:
+            z = roots[draw(st.integers(0, len(roots) - 1))].real
+            k = draw(st.integers(3, 15))
+            roots.append(complex(z + draw(st.floats(-1, 1)) * 10.0 ** -k * (1 + abs(z))))
+        elif kind == "repeat" and roots and roots[-1].imag == 0:
+            roots.append(roots[draw(st.integers(0, len(roots) - 1))])
+        else:
+            roots.append(complex(draw(value)))
+    roots = roots[:n]
+    if sum(1 for z in roots if z.imag != 0) % 2:  # a pair cut in half: keep it real
+        roots = [complex(z.real) for z in roots]
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [c - r * prev for c, prev in zip(coeffs + [0j], [0j] + coeffs)]
+    coeffs = [c.real for c in coeffs]
+    points = sorted(roots, key=sort_key_complex)
+    return points, oracle._derivative_coeffs(coeffs), 1.0 + max(abs(z) for z in points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_points())
+def test_gated_cluster_equals_the_exhaustive_search(case):
+    points, derivs, scale = case
+    got = oracle._cluster(points, derivs, scale, oracle.DEFAULT_CONFIG)
+    want = _reference_cluster(points, derivs, scale, oracle.DEFAULT_CONFIG)
+    assert _hex_groups(got) == _hex_groups(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_points())
+def test_a_group_with_a_pair_beyond_the_gate_is_never_admissible(case):
+    points, derivs, scale = case
+    tol = oracle.DEFAULT_CONFIG.cluster_tol
+    gate = oracle._gate(points, derivs, scale, tol)
+    for mask in range(1, 1 << len(points)):
+        group = [z for i, z in enumerate(points) if mask >> i & 1]
+        if any(abs(x - y) > gate for x in group for y in group):
+            assert not oracle._cluster_ok(group, derivs, tol, scale)
+
+
+def test_gated_partitions_keep_the_exhaustive_order():
+    far = [[False, True, False, False], [True, False, False, False],
+           [False, False, False, True], [False, False, True, False]]
+    want = [p for p in _reference_partitions(4)
+            if not any(far[i][j] for g in p for i in g for j in g)]
+    assert list(oracle._partitions(4, far)) == want
+    assert list(oracle._partitions(4, [[False] * 4] * 4)) == list(_reference_partitions(4))
+
+
+def test_a_point_that_is_not_finite_prunes_nothing():
+    derivs = oracle._derivative_coeffs([1.0, 0.0, -1.0])
+    assert oracle._gate([complex(math.nan), 1 + 0j], derivs, 2.0, 1e-6) == math.inf
+
+
+def _scatter_calls_inside_cluster(monkeypatch, coeffs):
+    """solve(coeffs), counting _multiple_root_scatter calls made inside _cluster."""
+    inside, calls = [False], []
+    cluster, scatter = oracle._cluster, oracle._multiple_root_scatter
+
+    def counting_cluster(*args):
+        inside[0] = True
+        try:
+            return cluster(*args)
+        finally:
+            inside[0] = False
+
+    def counting_scatter(*args):
+        if inside[0]:
+            calls.append(args)
+        return scatter(*args)
+
+    monkeypatch.setattr(oracle, "_cluster", counting_cluster)
+    monkeypatch.setattr(oracle, "_multiple_root_scatter", counting_scatter)
+    return solve(coeffs), len(calls)
+
+
+def test_separated_roots_test_no_group(monkeypatch):
+    coeffs = monic_from_roots([-3.0, -1.0, 0.5, 2.0])  # (x+3)(x+1)(x-0.5)(x-2)
+    rs, calls = _scatter_calls_inside_cluster(monkeypatch, coeffs)
+    assert rs.values == pytest.approx((-3.0, -1.0, 0.5, 2.0), abs=1e-12)
+    assert calls == 0
+
+
+def test_a_triple_root_still_tests_its_group(monkeypatch):
+    # its approximations spread by about eps^(1/3), beyond the merge tolerance
+    coeffs = monic_from_roots([1.0, 1.0, 1.0, -2.0])
+    rs, calls = _scatter_calls_inside_cluster(monkeypatch, coeffs)
+    assert rs.multiplicities == (1, 3)
+    assert calls > 0

@@ -99,6 +99,38 @@ class TestThresholds:
         for d, sign in probes:
             assert math.copysign(1, discriminant_quartic(Quartic(3.0, 2.0, -1.0, d))) == sign
 
+    def test_one_d_root_just_outside_the_band(self):
+        # c lies just below C2 (c_band margin +1232, unflagged), so Delta3 < 0; the
+        # arccos test alone read three d-roots, the last two 3.9e-9 apart.  The float
+        # d-cubic differs from the rational one in its last bits, so its root by 1 ulp.
+        coeffs = (0.6496321368960247, -0.642072305088444, -0.632558909960384,
+                  0.26506228457592496)
+        for q in (Quartic(*coeffs), Quartic(*map(Fraction, coeffs))):
+            assert classify_quartic(q).case is ClassificationCase.XXXII
+            [d0] = quartic_thresholds(q).d_roots
+            assert d0 == pytest.approx(0.3433097848926859, rel=4e-16)
+
+    def test_d_root_count_follows_delta3_at_the_band_edges(self):
+        # c a few ulps to 1e-6 off C1 or C2, either side: three d-roots exactly
+        # where Delta3 > 0, one where Delta3 < 0
+        rng = np.random.default_rng(77)
+        counts = {1: 0, 3: 0}
+        for _ in range(1500):
+            a = Fraction(int(rng.integers(-40, 41)), 8)
+            b = 3 * a * a / 8 - Fraction(int(rng.integers(1, 129)), 16)
+            thr0 = quartic_thresholds(Quartic(a, b, Fraction(0), Fraction(0)))
+            edge = thr0.c_hi if rng.random() < 0.5 else thr0.c_lo
+            c = Fraction(edge + float(rng.choice((-1, 1))) * 10.0 ** rng.uniform(-15, -6)
+                         * (1 + abs(edge)))
+            q = Quartic(a, b, c, Fraction(0))
+            sign = delta3(q)
+            if sign == 0:
+                continue
+            count = len(quartic_thresholds(q).d_roots)
+            assert count == (3 if sign > 0 else 1), (a, b, c)
+            counts[count] += 1
+        assert min(counts.values()) > 300
+
     def test_exact_fields_stay_rational(self):
         thr = quartic_thresholds(Quartic(Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
         assert isinstance(thr.c_mid, Fraction) and thr.c_mid == Fraction(-5, 8)

@@ -105,6 +105,18 @@ class TestAdmissibleD:
         assert lo == pytest.approx(-1.0000, abs=5e-5)
         assert hi == pytest.approx(-0.9288, abs=5e-5)
 
+    def test_four_distinct_window_where_the_d_roots_crowd(self):
+        # c inside the band and b near 3a^2/8: the d-cubic's A^2 - 3B reads zero
+        # within the tolerance, so viete_values gives one d-root; unpacking three
+        # of them failed
+        adm = admissible_d_range(-40.0, 599.1307665254511, -3982.7914159326765,
+                                 Nature.FOUR_DISTINCT_REAL)
+        [(lo, hi)] = adm.intervals
+        assert lo <= hi
+        target = NatureTarget(Nature.FOUR_DISTINCT_REAL, a=Fraction(-40), strategy="random",
+                              seed=2516, exact=True)
+        assert classify_quartic(synthesize(target)).nature is Nature.FOUR_DISTINCT_REAL
+
     def test_quadruple_point(self):
         adm = admissible_d_range(4.0, 6.0, 4.0, Nature.QUADRUPLE_ROOT)
         assert adm.points == (1.0,)
