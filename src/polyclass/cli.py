@@ -161,9 +161,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
                              oracle_check: bool) -> Tuple[Report, int]:
     cls = classify_quartic(q, tol)
     thr = cls.thresholds
-    roots = _verdict_roots(cls)
-    source = None if roots is None else (
-        "closed_form" if roots is cls.closed_form_roots else "oracle")
+    roots, source = _verdict_roots(cls)
     geometry = None
     if _b_gap(float(q.a), float(q.b)) > 0.0:
         # the fields in declaration order, which is the report's; a shallow copy,
@@ -193,7 +191,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
         "fragile": fragile,
     }
     if oracle_check:
-        rs = roots if source == "oracle" else solve(q.as_float())
+        rs = solve(q.as_float())
         expected_count, expected_mults = NATURE_STRUCTURE[cls.nature]
         data["oracle"] = {
             "roots": _root_entries(rs),
@@ -265,7 +263,7 @@ def cmd_localize(opts) -> Tuple[Report, int]:
     q = Quartic(*_numbers(opts, "quartic", exact))
     cls = classify_quartic(q, tol)
     loc = geometry_mod.localize_roots(q, cls, tol)
-    sorted_roots = _verdict_roots(cls).expanded()
+    sorted_roots = _verdict_roots(cls)[0].expanded()
     contained = [
         bool(lo - 1e-9 <= x <= hi + 1e-9)
         for x, (lo, hi) in zip(sorted_roots, loc.intervals)

@@ -27,7 +27,7 @@ from .numeric import (
     _compare_exact,
     sum_terms,
 )
-from .oracle import solve
+from .oracle import _eval_noise, solve
 from .poly import (
     Cubic,
     Quartic,
@@ -363,10 +363,38 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
         # inside the band, whatever the d-cubic's own arccos test reads
         three = s_b < 0 and s_band < 0
         kind, payload = _held_values(Cubic(*map(float, abc)), three, tol)
-        d_roots = (tuple(sorted(payload, reverse=True)) if kind == "three"
-                   else (payload,) * (3 if three else 1))
+        if kind == "three":
+            d_roots = tuple(sorted(payload, reverse=True))
+        elif three:
+            exact = abc if lam is not None else _d_cubic(*map(Fraction, point[:3]))
+            d_roots = _crowded_d_roots(*exact) or (payload,) * 3
+        else:
+            d_roots = (payload,)
     _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
+
+
+def _crowded_d_roots(A: Fraction, B: Fraction, C: Fraction) -> Optional[Tuple[float, ...]]:
+    """The three roots, descending, of the d-cubic d^3 + A d^2 + B d + C with
+    rational coefficients, where they crowd too close for viete_values to part;
+    None when _isolated_roots fails.
+
+    The roots are bracketed by the roots (-A -+ sqrt(A^2 - 3B))/3 of the
+    derivative and by the bound -A/3 -+ (2/3) sqrt(A^2 - 3B) on the roots of a
+    cubic with three real ones.  The search runs in t = d - d0, for the float
+    d0 nearest -A/3, on coefficients shifted exactly: the float d-cubic's own
+    rounding can swamp its values between crowded roots.
+    """
+    gap = A * A - 3 * B  # unchanged by the shift
+    if gap <= 0:
+        return None
+    d0 = float(-A / 3)
+    x0 = Fraction(d0)
+    shifted = tuple(map(float, (A + 3 * x0, B + (2 * A + 3 * x0) * x0,
+                                C + (B + (A + x0) * x0) * x0)))
+    center, r = -shifted[0] / 3.0, math.sqrt(float(gap)) / 3.0
+    roots = _isolated_roots(shifted, 3, center, 2.0 * r, (center - r, center + r))
+    return None if roots is None else tuple(d0 + t for t in reversed(roots))
 
 
 def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
@@ -390,10 +418,7 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
         rs = root_set_from_values(values, [abs(qf(v)) for v in values], 4)
         return rs, None
     # double root at a stationary point, remaining roots by quadratic deflation
-    deriv, _ = qf.derivative_monic()
-    kind, payload = viete_values(deriv, tol)
-    candidates = list(payload) if kind == "three" else [payload]
-    u = min(candidates, key=lambda x: abs(qf(x)))
+    u = min(_stationary_points(qf, tol), key=lambda x: abs(qf(x)))
     if nature is Nature.TWO_EQUAL_REAL:
         return RootSet(((u, 2),), 1, (abs(qf(u)),), 4), None
     # FOUR_REAL_DOUBLE_PAIR: p4 = (x-u)^2 (x^2 + ex + f)
@@ -404,6 +429,110 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
     values = [u, u, v, w]
     rs = root_set_from_values(values, [abs(qf(x)) for x in values], 4)
     return rs, _pair_position(u, v, w)
+
+
+def _stationary_points(qf: Quartic, tol: Tolerance) -> List[float]:
+    """The real roots of p' by the Viete formulas (viete_values), descending:
+    three when the arccos test reads three, else one."""
+    kind, payload = viete_values(qf.derivative_monic()[0], tol)
+    return list(payload) if kind == "three" else [payload]
+
+
+def _horner(coeffs, x: float) -> Tuple[float, float]:
+    """p(x) and p'(x) of the monic polynomial with trailing coefficients coeffs.
+
+    For a quartic, p(x) is Quartic.__call__'s value bit for bit, and so the
+    residual oracle.solve reports.
+    """
+    p, dp = 1.0, 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
+def _newton_in_bracket(coeffs, neg: float, pos: float) -> Optional[float]:
+    """The root between neg and pos, where p(neg) < 0 < p(pos), by Newton steps
+    that bisect instead whenever a step would leave the bracket or is not at
+    most half the step before the last (rtsafe; Brent 1973).  Each new point
+    narrows the bracket.  None when 100 steps do not settle to a step of 2 ulp."""
+    x = 0.5 * (neg + pos)
+    step = step_before = abs(pos - neg)
+    p, dp = _horner(coeffs, x)
+    for _ in range(100):
+        if p == 0.0:
+            return x
+        if p < 0.0:
+            neg = x
+        else:
+            pos = x
+        newton = p / dp if dp else math.inf
+        if abs(newton) <= 4.4e-16 * abs(x):
+            return x - newton
+        if abs(2.0 * newton) <= abs(step_before) and (
+                neg < x - newton < pos or pos < x - newton < neg):
+            step_before, step = step, newton
+            x -= newton
+        else:
+            step_before, step = step, 0.5 * (pos - neg)
+            x = neg + step
+            if abs(step) <= 4.4e-16 * abs(x) or x == neg or x == pos:
+                return x
+        p, dp = _horner(coeffs, x)
+    return None
+
+
+def _isolated_roots(coeffs, count: int, center: float, reach: float,
+                    stationary) -> Optional[List[float]]:
+    """The count real roots, ascending, of the monic polynomial with trailing
+    coefficients coeffs, whose real roots lie within reach of center: one in
+    each gap between consecutive ends center - reach, the ascending stationary
+    points, center + reach, across which p changes sign.  reach is widened by
+    a relative 1e-9 against rounding.  None when p at an end is NaN or within
+    oracle._eval_noise of 0 (a multiple root as far as floats can tell), a
+    search does not settle, two roots meet or the sign changes are not count.
+    """
+    reach += 1e-9 * (reach + abs(center))
+    ends = [center - reach, *stationary, center + reach]
+    full = (1.0, *coeffs)
+    values = [_horner(coeffs, e)[0] for e in ends]
+    if not all(abs(v) > _eval_noise(full, e) for v, e in zip(values, ends)):
+        return None
+    roots: List[float] = []
+    for lo, hi, p_lo, p_hi in zip(ends, ends[1:], values, values[1:]):
+        if (p_lo < 0.0) == (p_hi < 0.0):
+            continue
+        x = _newton_in_bracket(coeffs, *((lo, hi) if p_lo < 0.0 else (hi, lo)))
+        if x is None or (roots and x <= roots[-1]):
+            return None
+        roots.append(x)
+    return roots if len(roots) == count else None
+
+
+def _bracketed_roots(qf: Quartic, nature: Nature, tol: Tolerance) -> Optional[RootSet]:
+    """The simple real roots of a float quartic with two or four of them, each
+    isolated between stationary points and a root bound (_isolated_roots);
+    None, for the caller to fall back to oracle.solve, when that fails.
+
+    By Rolle each gap between consecutive stationary points holds at most one
+    root.  With four real roots the paper's bound keeps every root within
+    (sqrt(3)/4) sqrt(3a^2 - 8b) of -a/4; with two, Fujiwara's bound
+    2 max(|a|, |b|^(1/2), |c|^(1/3), |d/2|^(1/4)) on |x| closes the outer ends.
+    """
+    a, b, c, d = qf.a, qf.b, qf.c, qf.d
+    count = NATURE_STRUCTURE[nature][0]
+    if count == 4:
+        center = -a / 4.0
+        reach = math.sqrt(3.0) / 4.0 * math.sqrt(max(0.0, _b_gap(a, b)))
+    else:
+        center = 0.0
+        reach = 2.0 * max(abs(a), abs(b) ** 0.5, abs(c) ** (1.0 / 3.0), (abs(d) / 2.0) ** 0.25)
+    roots = _isolated_roots((a, b, c, d), count, center, reach,
+                            reversed(_stationary_points(qf, tol)))
+    if roots is None:
+        return None
+    return RootSet(tuple((x, 1) for x in roots), (4 - count) // 2,
+                   tuple(abs(qf(x)) for x in roots), 4)
 
 
 def _pair_position(u, v, w) -> DoublePairPosition:
@@ -454,14 +583,21 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     )
 
 
-def _verdict_roots(cls: QuarticClassification) -> Optional[RootSet]:
-    """The roots a verdict reports: the closed form where the discriminant
-    vanishes, else the oracle's when the nature has real roots, else None."""
+def _verdict_roots(cls: QuarticClassification) -> Tuple[Optional[RootSet], Optional[str]]:
+    """The roots a verdict reports and where they came from: the closed form
+    where the discriminant vanishes ("closed_form"), else, when the nature has
+    real roots, the bracketed roots ("bracketed") or, when bracketing fails,
+    the oracle's ("oracle"); (None, None) without real roots."""
     if cls.closed_form_roots is not None:
-        return cls.closed_form_roots
-    if NATURE_STRUCTURE[cls.nature][0] > 0:
-        return solve(cls._source[0].as_float())
-    return None
+        return cls.closed_form_roots, "closed_form"
+    if NATURE_STRUCTURE[cls.nature][0] == 0:
+        return None, None
+    q, tol = cls._source
+    qf = q.as_float()
+    roots = _bracketed_roots(qf, cls.nature, tol)
+    if roots is not None:
+        return roots, "bracketed"
+    return solve(qf), "oracle"
 
 
 def _cascade(sign: Callable[[str], int]) -> ClassificationCase:

@@ -114,7 +114,7 @@ def render_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> str:
 def render_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> str:
     """Derivative triangle plus tetrahedron projections and landmark markers."""
     tet = tetrahedron_data(float(q.a), float(q.b))  # raises NoTetrahedron
-    rs = _verdict_roots(classify_quartic(q, tol))
+    rs = _verdict_roots(classify_quartic(q, tol))[0]
     roots = list(rs.expanded()) if rs is not None else []
     deriv, _ = q.as_float().derivative_monic()
     try:

@@ -47,6 +47,27 @@ def eval_scale(coeffs_desc: Sequence[float], x: float) -> float:
     return total
 
 
+def root_gap_bound(coeffs_desc: Sequence[float], x: float) -> float:
+    """How far apart two sound root finders may place the simple root x of the
+    monic polynomial with descending coefficients coeffs_desc: 1e-12 (1 + |x|),
+    plus twice noise / |p'(x)|, the distance within which the evaluation noise
+    bound of oracle._eval_noise, 4 (n + 1) eps sum |c_k| |x|^k, can hide p's sign."""
+    n = len(coeffs_desc) - 1
+    dp = 0.0
+    for k, c in enumerate(coeffs_desc[:-1]):
+        dp = dp * x + (n - k) * c
+    noise = 4.0 * (n + 1) * 2.220446049250313e-16 * eval_scale(coeffs_desc, x)
+    return 1e-12 * (1.0 + abs(x)) + 2.0 * noise / abs(dp)
+
+
+def assert_roots_agree(roots, reference, coeffs_desc) -> None:
+    """Two ascending lists of (value, multiplicity) pairs have the same
+    multiplicities and values within root_gap_bound of each other."""
+    assert [m for _, m in roots] == [m for _, m in reference]
+    for (x, _), (y, _) in zip(roots, reference):
+        assert abs(x - y) <= root_gap_bound(coeffs_desc, y), (x, y)
+
+
 def poly_divmod(num: List[Fraction], den: List[Fraction]):
     """Polynomial division over Fractions; descending coefficients."""
     num = list(num)

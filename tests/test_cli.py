@@ -10,6 +10,8 @@ import pytest
 from polyclass.cli import main, parse_argv
 from polyclass.report import SCHEMA, Report
 
+from conftest import assert_roots_agree
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,7 +51,7 @@ class TestClassifyCommand:
         assert data["classification"]["nature"] == "four_distinct_real"
         values = sorted(r["value"] for r in data["roots"])
         assert values == pytest.approx([-1.5379, -1.2787, -0.7928, 0.6094], abs=5e-5)
-        assert data["roots_source"] == "oracle"
+        assert data["roots_source"] == "bracketed"
 
     def test_exact_boundary_exit_code(self, capsys):
         code, out, _ = run(capsys, "classify", "--quartic", "4", "6", "4", "1",
@@ -197,6 +199,20 @@ class TestClassifyCommand:
         assert json.loads(out)["error"]["type"] == "ValueError"
 
     def test_oracle_check_solves_once(self, capsys, monkeypatch):
+        calls = self._solve_calls(monkeypatch)
+        code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.95",
+                           "--oracle-check", "--json")
+        data = json.loads(out)
+        assert code == 0 and data["roots_source"] == "bracketed"
+        # the one call is the independent check: the reported roots are bracketed
+        assert len(calls) == 1
+        oracle = data["oracle"]
+        assert oracle["real_count_agrees"] and oracle["multiplicities_agree"]
+        assert_roots_agree([(r["value"], r["multiplicity"]) for r in data["roots"]],
+                           [(r["value"], r["multiplicity"]) for r in oracle["roots"]],
+                           (1.0, 3.0, 2.0, -1.0, -0.95))
+
+    def _solve_calls(self, monkeypatch):
         import polyclass.cli as cli_mod
         import polyclass.quartic as quartic_mod
 
@@ -204,12 +220,28 @@ class TestClassifyCommand:
         for mod in (cli_mod, quartic_mod):
             monkeypatch.setattr(mod, "solve",
                                 lambda p, solve=mod.solve: calls.append(p) or solve(p))
-        code, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.95",
-                           "--oracle-check", "--json")
+        return calls
+
+    @pytest.mark.parametrize("command", ["classify", "localize"])
+    def test_reports_make_no_oracle_call(self, capsys, monkeypatch, command):
+        calls = self._solve_calls(monkeypatch)
+        code, out, _ = run(capsys, command, "--quartic", "3", "2", "-1", "-0.95", "--json")
         data = json.loads(out)
-        assert code == 0 and data["roots_source"] == "oracle"
-        assert data["oracle"]["roots"] == data["roots"]
-        assert len(calls) == 1
+        assert code == 0 and data["classification"]["nature"] == "four_distinct_real"
+        assert data["roots"] and calls == []
+
+    def test_fragile_triple_root_falls_back_to_the_oracle(self, capsys, monkeypatch):
+        # x (x + 2.875)^3: read, fragile, as two distinct real roots; the
+        # stationary point -2.875 is a root, so no bracket can be trusted
+        calls = self._solve_calls(monkeypatch)
+        code, out, _ = run(capsys, "classify", "--quartic", "8.625", "24.796875",
+                           "23.763671875", "0", "--json")
+        data = json.loads(out)
+        assert code == 2 and data["fragile"] is True
+        assert data["classification"]["nature"] == "two_distinct_real"
+        assert data["roots_source"] == "oracle" and len(calls) == 1
+        assert [(r["value"], r["multiplicity"]) for r in data["roots"]] == [
+            (pytest.approx(-2.875), 3), (0.0, 1)]
 
 
 class TestLocalizeCommand:

@@ -29,7 +29,7 @@ from polyclass import (
 from polyclass import quartic as quartic_mod
 from polyclass.quartic import NATURE_STRUCTURE
 
-from conftest import eval_scale, quartic_coeffs_from_roots
+from conftest import assert_roots_agree, eval_scale, quartic_coeffs_from_roots, root_gap_bound
 
 EX1 = Quartic(3.0, 2.0, -1.0, -0.95)
 EX2 = Quartic(-4.0, 5.0, -1.75, -0.2)
@@ -485,16 +485,83 @@ class TestNatureFacts:
         q = Quartic(*map(float, ONE_PER_NATURE[nature]))
         cls = classify_quartic(q)
         assert cls.nature is nature
-        roots = quartic_mod._verdict_roots(cls)
+        roots, source = quartic_mod._verdict_roots(cls)
         if nature is Nature.NO_REAL:
-            assert roots is None
+            assert roots is None and source is None
         elif nature in (Nature.TWO_DISTINCT_REAL, Nature.FOUR_DISTINCT_REAL):
-            assert cls.closed_form_roots is None
-            assert roots == solve(q)
+            assert cls.closed_form_roots is None and source == "bracketed"
+            reference = solve(q)
+            assert roots.complex_pairs == reference.complex_pairs
+            assert_roots_agree(roots.roots, reference.roots, q.coefficients())
+            assert roots.residuals == tuple(abs(q(x)) for x in roots.values)
         else:
             assert roots is not None and roots is cls.closed_form_roots
+            assert source == "closed_form"
         count, _ = NATURE_STRUCTURE[nature]
         assert (0 if roots is None else roots.real_count) == count
+
+
+def _exact_sign(coeffs, x: float) -> int:
+    """The sign of the monic quartic with float coefficients coeffs at x, exactly."""
+    x, value = Fraction(x), Fraction(1)
+    for c in coeffs:
+        value = value * x + Fraction(c)
+    return (value > 0) - (value < 0)
+
+
+def _scaled(coeffs, k: int):
+    """(2^k a, 4^k b, 8^k c, 16^k d): the quartic whose roots are 2^k times coeffs', exactly."""
+    return tuple(math.ldexp(c, k * (i + 1)) for i, c in enumerate(coeffs))
+
+
+class TestBracketedRoots:
+    """The real roots of the open natures, isolated by Viete stationary points and a
+    root bound, against exact sign changes and against oracle.solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.sampled_from([2, 4]),
+           start=st.floats(-4.0, 4.0),
+           gaps=st.lists(st.floats(0.25, 3.0), min_size=3, max_size=3),
+           near=st.none() | st.tuples(st.integers(0, 2), st.floats(3.0, 6.0)),
+           pair=st.tuples(st.floats(-3.0, 3.0), st.floats(0.25, 3.0)),
+           k=st.integers(-20, 20))
+    def test_roots_match_the_oracle_and_change_sign(self, count, start, gaps, near, pair, k):
+        roots = [start]
+        for gap in gaps[:count - 1]:
+            roots.append(roots[-1] + gap)
+        spread = 1.0
+        if near is not None:
+            i = near[0] % (count - 1)
+            spread = 10.0 ** -near[1]
+            roots[i + 1] = roots[i] + spread * (1.0 + abs(roots[i]))
+            roots.sort()
+        if count == 4:
+            coeffs = quartic_coeffs_from_roots(*roots)
+            nature = Nature.FOUR_DISTINCT_REAL
+        else:
+            # (x - r1)(x - r2)(x^2 - 2ux + u^2 + v^2)
+            (r1, r2), (u, v) = roots, pair
+            e, f, g, h = -(r1 + r2), r1 * r2, -2.0 * u, u * u + v * v
+            coeffs = (e + g, f + e * g + h, e * h + f * g, f * h)
+            nature = Nature.TWO_DISTINCT_REAL
+        reference = solve(Quartic(*coeffs))
+        desc = (1.0, *coeffs)
+        a, b, c, d = _scaled(coeffs, k)
+        for sign, q in ((1, Quartic(a, b, c, d)), (-1, Quartic(-a, b, -c, d))):
+            rs = quartic_mod._bracketed_roots(q, nature, quartic_mod.DEFAULT_TOL)
+            if rs is None:
+                # p at a stationary point between roots 1e-6 apart can sit within
+                # the evaluation noise, where only the oracle may judge
+                assert spread < 1e-5
+                continue
+            assert rs.multiplicities == (1,) * count and rs.complex_pairs == (4 - count) // 2
+            assert rs.residuals == tuple(abs(q(x)) for x in rs.values)
+            found = sorted(sign * math.ldexp(x, -k) for x in rs.values)  # back to coeffs' roots
+            for x in found:
+                step = root_gap_bound(desc, x)
+                assert _exact_sign(coeffs, x - step) * _exact_sign(coeffs, x + step) < 0
+            if spread >= 1e-4:  # else the oracle may merge the pair (its cluster_tol)
+                assert_roots_agree([(x, 1) for x in found], reference.roots, desc)
 
 
 class TestFloatVsExactAgreement:

@@ -15,9 +15,11 @@ from polyclass import (
     admissible_c_range,
     admissible_d_range,
     classify_quartic,
+    quartic_thresholds,
     solve,
     synthesize,
 )
+from polyclass import quartic as quartic_mod
 from polyclass.quartic import NATURE_STRUCTURE
 
 ALL_NATURES = tuple(Nature)
@@ -108,11 +110,27 @@ class TestAdmissibleD:
     def test_four_distinct_window_where_the_d_roots_crowd(self):
         # c inside the band and b near 3a^2/8: the d-cubic's A^2 - 3B reads zero
         # within the tolerance, so viete_values gives one d-root; unpacking three
-        # of them failed
-        adm = admissible_d_range(-40.0, 599.1307665254511, -3982.7914159326765,
-                                 Nature.FOUR_DISTINCT_REAL)
+        # of them failed, and then the window shrank to that one point
+        a, b, c = -40.0, 599.1307665254511, -3982.7914159326765
+        adm = admissible_d_range(a, b, c, Nature.FOUR_DISTINCT_REAL)
         [(lo, hi)] = adm.intervals
-        assert lo <= hi
+        assert lo == pytest.approx(9914.8285, abs=1e-4)
+        assert hi == pytest.approx(9914.9152, abs=1e-4)
+        # the ends are sign changes of the exact d-cubic (disc/256) of these floats
+        A, B, C = quartic_mod._d_cubic(*map(Fraction, (a, b, c)))
+
+        def d_cubic(d):
+            return ((d + A) * d + B) * d + C
+
+        for d in (Fraction(lo), Fraction(hi)):
+            nudge = d * Fraction(1, 10 ** 14)
+            assert d_cubic(d - nudge) * d_cubic(d + nudge) < 0
+        two = Nature.TWO_DISTINCT_REAL
+        for d, nature in (((lo + hi) / 2, Nature.FOUR_DISTINCT_REAL),
+                          (lo - 0.01, two), (hi + 0.01, two)):
+            assert classify_quartic(Quartic(*map(Fraction, (a, b, c, d)))).nature is nature
+        thr = quartic_thresholds(Quartic(a, b, c, 0.0))
+        assert thr.d_roots[1:] == (hi, lo) and thr.d_roots[0] == pytest.approx(9915.1466, abs=1e-4)
         target = NatureTarget(Nature.FOUR_DISTINCT_REAL, a=Fraction(-40), strategy="random",
                               seed=2516, exact=True)
         assert classify_quartic(synthesize(target)).nature is Nature.FOUR_DISTINCT_REAL
