@@ -452,6 +452,7 @@ class TestReportRoundTrip:
         _, out, _ = run(capsys, "classify", "--quartic", "3", "2", "-1", "-0.95",
                         "--json")
         report = Report.from_json(out)
+        assert report.data["roots_source"] == "bracketed"
         assert Report.from_json(report.to_json()) == report
 
     def test_rational_report_preserves_fractions(self, capsys):
