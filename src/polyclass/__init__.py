@@ -40,7 +40,7 @@ from .geometry import (
     tetrahedron_data,
 )
 from .numeric import DEFAULT_EPS, Tolerance
-from .oracle import OracleConfig, all_roots, brute_discriminant, solve
+from .oracle import all_roots, brute_discriminant, solve
 from .poly import (
     Cubic,
     Quartic,

@@ -227,14 +227,18 @@ def _aberth_step(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return step
 
 
-def aberth_roots_batch(trailing: np.ndarray, max_iter: int = 120,
-                       tol: float = 1e-12) -> np.ndarray:
+#: the sweep's settings, read at call time
+MAX_ITERATIONS = 120
+CONVERGENCE_TOL = 1e-12  # a polynomial stops at its first relative step below this
+REAL_TOL = 1e-6  # a root is real when |Im z| <= REAL_TOL * (1 + max|z|)
+
+
+def aberth_roots_batch(trailing: np.ndarray) -> np.ndarray:
     """All complex roots of many monic polynomials at once.
 
     ``trailing`` has shape (N, degree): the coefficients after the leading 1,
     descending.  Returns shape (N, degree) complex roots (unordered).  A
-    polynomial leaves the iteration at the first step below ``tol``; its
-    roots are those of the same iteration run on it alone.
+    polynomial's roots are those of the same iteration run on it alone.
     """
     trailing = np.asarray(trailing, dtype=np.float64)
     n_poly, degree = trailing.shape
@@ -243,8 +247,8 @@ def aberth_roots_batch(trailing: np.ndarray, max_iter: int = 120,
     z = radius[None, :] * np.exp(1j * angles)[:, None]  # z[k, n]: root k of polynomial n
     ca, idx = trailing.T, np.arange(n_poly)  # the unconverged polynomials
     settled = []  # (polynomials, their roots z[:, polynomials]) as they converge
-    for _ in range(max_iter):
-        done = _aberth_step(z, ca) < tol
+    for _ in range(MAX_ITERATIONS):
+        done = _aberth_step(z, ca) < CONVERGENCE_TOL
         if done.any():
             settled.append((idx[done], z[:, done]))
             keep = ~done
@@ -258,10 +262,10 @@ def aberth_roots_batch(trailing: np.ndarray, max_iter: int = 120,
     return roots
 
 
-def real_root_count_batch(roots: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+def real_root_count_batch(roots: np.ndarray) -> np.ndarray:
     """Number of (numerically) real roots per polynomial."""
     scale = 1.0 + np.abs(roots).max(axis=1)
-    return (np.abs(roots.imag) <= rel_tol * scale[:, None]).sum(axis=1).astype(np.int8)
+    return (np.abs(roots.imag) <= REAL_TOL * scale[:, None]).sum(axis=1).astype(np.int8)
 
 
 def min_root_gap_batch(roots: np.ndarray) -> np.ndarray:

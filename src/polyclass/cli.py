@@ -262,7 +262,7 @@ def cmd_localize(opts) -> Tuple[Report, int]:
         raise CliError("localize needs --quartic A B C D")
     q = Quartic(*_numbers(opts, "quartic", exact))
     cls = classify_quartic(q, tol)
-    loc = geometry_mod.localize_roots(q, cls, tol)
+    loc = geometry_mod.localize_roots(q, cls)
     sorted_roots = _verdict_roots(cls)[0].expanded()
     contained = [
         bool(lo - 1e-9 <= x <= hi + 1e-9)

@@ -93,9 +93,9 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
     comparisons: List[Comparison] = []
 
     def sign(name: str, terms) -> int:
-        s, value, margin, fragile = tol.compare_terms(terms)
-        comparisons.append(Comparison(name, value, margin, fragile))
-        return s
+        cmp = Comparison(name, *tol.compare_terms(terms))
+        comparisons.append(cmp)
+        return cmp.sign
 
     kind, thresholds, triangle = CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None
     s2_sign = sign("a2_vs_3b", _gap_terms(cu))

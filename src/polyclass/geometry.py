@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import NoTetrahedron, NotFourReal
-from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Quartic
-from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap, _c0_terms
+from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap
 
 SQRT3 = math.sqrt(3.0)
 
@@ -105,21 +104,21 @@ def span_bounds(a: float, b: float) -> Tuple[float, float]:
     return 4.0 * radius, math.sqrt(24.0) * radius
 
 
-def localize_roots(q: Quartic, cls: QuarticClassification,
-                   tol: Tolerance = DEFAULT_TOL) -> LocalizationResult:
+def localize_roots(q: Quartic, cls: QuarticClassification) -> LocalizationResult:
     """Landmark intervals around the four sorted real roots.
 
     Low branch (C2 <= c <= C0): x4 in [lam_min, rho2], x3 in [sigma3, -a/4],
     x2 in [rho2, phi2], x1 in [sigma1, lam_max].  High branch mirrors it.
     Each interval may contain up to two roots; they are containment boxes,
-    not isolation intervals.
+    not isolation intervals.  The branch is the c-vs-C0 decision ``cls``
+    recorded, so it never contradicts the classification.
     """
     if NATURE_STRUCTURE[cls.nature][0] != 4:
         raise NotFourReal(f"nature {cls.nature.value} does not have four real roots")
     if cls.nature is Nature.QUADRUPLE_ROOT:
         raise NoTetrahedron("quadruple root: the tetrahedron degenerates to a point")
     t = tetrahedron_data(float(q.a), float(q.b))
-    s_c0 = tol.sign_terms(_c0_terms(q))
+    s_c0 = next(c.sign for c in cls.comparisons if c.name == "c_vs_C0")
     tie = s_c0 == 0
     if s_c0 <= 0:
         intervals = (

@@ -87,9 +87,10 @@ def parse_number(text: str, exact: bool) -> Number:
 
 @dataclass(frozen=True)
 class Comparison:
-    """One threshold decision: signed margin in tolerance units (value - threshold)."""
+    """One threshold decision: sign and signed margin in tolerance units (value - threshold)."""
 
     name: str
+    sign: int
     value: float
     margin_units: float
     fragile: bool

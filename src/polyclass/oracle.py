@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import NoConvergence, PolyclassError
@@ -19,21 +18,11 @@ from .poly import Cubic, Quartic, Quintic, RootSet
 
 MACHEPS = 2.220446049250313e-16
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_iterations: int = 200
-    convergence_tol: float = 1e-13
-    cluster_tol: float = 1e-6
-    polish_steps: int = 3
-
-    def __post_init__(self):
-        if (self.max_iterations <= 0 or self.convergence_tol <= 0
-                or self.cluster_tol <= 0 or self.polish_steps <= 0):
-            raise ValueError("all oracle configuration values must be positive")
-
-
-DEFAULT_CONFIG = OracleConfig()
+#: the iteration's settings, read at call time
+MAX_ITERATIONS = 200
+CONVERGENCE_TOL = 1e-13
+CLUSTER_TOL = 1e-6  # merge distance, relative to 1 + max|z|
+POLISH_STEPS = 3
 
 
 def monic_coefficients(poly) -> List[float]:
@@ -83,7 +72,7 @@ def _quadratic_roots(b: float, c: float) -> List[complex]:
     return sorted([qq, complex(c) / qq], key=sort_key_complex)
 
 
-def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
+def _aberth(coeffs: Sequence[float]) -> List[complex]:
     n = len(coeffs) - 1
     if n == 2:
         return _quadratic_roots(coeffs[1], coeffs[2])
@@ -95,7 +84,7 @@ def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
     abs_coeffs = [abs(c) for c in coeffs]
     noise_factor = 4.0 * len(coeffs) * MACHEPS
     trace: List[float] = []
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         max_step = 0.0
         for k in range(n):
             zk = z[k]
@@ -126,7 +115,7 @@ def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
             z[k] = zk - w
             max_step = max(max_step, abs(w) / (1.0 + abs(z[k])))
         trace.append(max_step)
-        if max_step < cfg.convergence_tol:
+        if max_step < CONVERGENCE_TOL:
             break
     else:
         residual_ok = all(
@@ -134,7 +123,7 @@ def _aberth(coeffs: Sequence[float], cfg: OracleConfig) -> List[complex]:
         )
         if not residual_ok:
             raise NoConvergence(
-                f"simultaneous iteration did not converge in {cfg.max_iterations} iterations",
+                f"simultaneous iteration did not converge in {MAX_ITERATIONS} iterations",
                 trace=trace,
             )
     return sorted(z, key=sort_key_complex)
@@ -175,13 +164,12 @@ def _multiple_root_scatter(derivs: List[List[float]], z: complex, m: int) -> flo
     return radius
 
 
-def _cluster_ok(points: Sequence[complex], derivs: List[List[float]],
-                cluster_tol: float, scale: float) -> bool:
+def _cluster_ok(points: Sequence[complex], derivs: List[List[float]], scale: float) -> bool:
     m = len(points)
     if m == 1:
         return True
     diam = _diameter(points)
-    if diam <= cluster_tol * scale:
+    if diam <= CLUSTER_TOL * scale:
         return True
     return diam <= 8.0 * _multiple_root_scatter(derivs, _centroid(points), m)
 
@@ -208,18 +196,17 @@ def _partitions(n: int, apart):
     yield from rec(0, [])
 
 
-def _gate(points: Sequence[complex], derivs: List[List[float]], scale: float,
-          cluster_tol: float) -> float:
+def _gate(points: Sequence[complex], derivs: List[List[float]], scale: float) -> float:
     """The distance beyond which no two points share an admissible group (see
     _cluster); inf when a point is not finite."""
     if not all(map(cmath.isfinite, points)):
         return math.inf
     noise = _eval_noise(derivs[0], (1.0 + 1e-9) * max(map(abs, points)))
-    return max(cluster_tol * scale, 16.0 * noise ** (1.0 / (len(derivs) - 1)))
+    return max(CLUSTER_TOL * scale, 16.0 * noise ** (1.0 / (len(derivs) - 1)))
 
 
-def _cluster(points: List[complex], derivs: List[List[float]], scale: float,
-             cfg: OracleConfig) -> List[List[complex]]:
+def _cluster(points: List[complex], derivs: List[List[float]],
+             scale: float) -> List[List[complex]]:
     """Coarsest admissible grouping of root approximations.
 
     A group of size m is admissible when its diameter fits the merge
@@ -233,18 +220,18 @@ def _cluster(points: List[complex], derivs: List[List[float]], scale: float,
     _eval_noise(p, centroid) ** (1/n), as p^(n)/n! is 1.  _eval_noise never
     falls as |z| grows, and no centroid lies farther out than the farthest
     point.  So a group holding a pair farther apart than
-    max(cluster_tol * scale, 16 * _eval_noise(p, (1 + 1e-9) max|z|) ** (1/n))
+    max(CLUSTER_TOL * scale, 16 * _eval_noise(p, (1 + 1e-9) max|z|) ** (1/n))
     fails _cluster_ok (see _gate); 16, twice _cluster_ok's 8, and the 1e-9 are
     slack for rounding.
     Well-separated points leave the singletons alone.  A point or a gate that
     is not finite prunes nothing.
     """
-    gate = _gate(points, derivs, scale, cfg.cluster_tol)
+    gate = _gate(points, derivs, scale)
     apart = [[abs(x - y) > gate for y in points] for x in points]
     best = None
     for parts in _partitions(len(points), apart):
         clusters = [[points[i] for i in group] for group in parts]
-        if not all(_cluster_ok(cl, derivs, cfg.cluster_tol, scale) for cl in clusters):
+        if not all(_cluster_ok(cl, derivs, scale) for cl in clusters):
             continue
         key = (len(clusters), sum(_diameter(cl) for cl in clusters))
         if best is None or key < best[0]:
@@ -253,8 +240,7 @@ def _cluster(points: List[complex], derivs: List[List[float]], scale: float,
     return best[1]
 
 
-def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
-            locality: float) -> complex:
+def _polish(derivs: List[List[float]], z: complex, m: int, locality: float) -> complex:
     """Refine a cluster centroid.
 
     An m-fold root of p is a simple root of p^(m-1), so plain Newton there
@@ -265,7 +251,7 @@ def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
         coeffs = derivs[0]
         p, dp = _horner2(coeffs, z)
         best, best_res = z, abs(p)
-        for _ in range(steps):
+        for _ in range(POLISH_STEPS):
             if dp == 0:
                 break
             z = z - p / dp
@@ -276,7 +262,7 @@ def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
         return best
     target = derivs[m - 1]
     start = z
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         p, dp = _horner2(target, z)
         if dp == 0:
             break
@@ -287,12 +273,12 @@ def _polish(derivs: List[List[float]], z: complex, m: int, steps: int,
     return z
 
 
-def _clustered_roots(coeffs: Sequence[float], derivs: List[List[float]],
-                     cfg: OracleConfig) -> List[Tuple[complex, int]]:
-    raw = _aberth(coeffs, cfg)
+def _clustered_roots(coeffs: Sequence[float],
+                     derivs: List[List[float]]) -> List[Tuple[complex, int]]:
+    raw = _aberth(coeffs)
     scale = 1.0 + max(abs(z) for z in raw)
     out = []
-    for cluster in _cluster(raw, derivs, scale, cfg):
+    for cluster in _cluster(raw, derivs, scale):
         m = len(cluster)
         z = _centroid(cluster)
         diam = _diameter(cluster)
@@ -301,31 +287,31 @@ def _clustered_roots(coeffs: Sequence[float], derivs: List[List[float]],
             # p^(m-1) may lie off the group, while the mean keeps the root sum
             out.append((z, m))
             continue
-        locality = 4.0 * (diam + cfg.cluster_tol * scale)
-        out.append((_polish(derivs, z, m, cfg.polish_steps, locality), m))
+        locality = 4.0 * (diam + CLUSTER_TOL * scale)
+        out.append((_polish(derivs, z, m, locality), m))
     return sorted(out, key=lambda t: sort_key_complex(t[0]))
 
 
-def all_roots(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> List[complex]:
+def all_roots(poly) -> List[complex]:
     """All complex roots repeated by multiplicity (cluster representatives)."""
     coeffs = monic_coefficients(poly)
     out: List[complex] = []
-    for z, m in _clustered_roots(coeffs, _derivative_coeffs(coeffs), cfg):
+    for z, m in _clustered_roots(coeffs, _derivative_coeffs(coeffs)):
         out.extend([z] * m)
     return out
 
 
-def solve(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> RootSet:
+def solve(poly) -> RootSet:
     """Real roots with multiplicities; conjugate pairs only counted."""
     coeffs = monic_coefficients(poly)
     n = len(coeffs) - 1
     derivs = _derivative_coeffs(coeffs)
-    clusters = _clustered_roots(coeffs, derivs, cfg)
+    clusters = _clustered_roots(coeffs, derivs)
     scale = 1.0 + max(abs(z) for z, _ in clusters)
     real: List[Tuple[float, int]] = []
     cplx: List[Tuple[complex, int]] = []
     for z, m in clusters:
-        reality = max(cfg.cluster_tol * scale,
+        reality = max(CLUSTER_TOL * scale,
                       8.0 * _multiple_root_scatter(derivs, z, m) if m > 1 else 0.0)
         if abs(z.imag) <= reality:
             real.append((z.real, m))
@@ -340,7 +326,7 @@ def solve(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> RootSet:
     real.sort()
     merged: List[List] = []
     for v, m in real:
-        if merged and v - merged[-1][0] <= cfg.cluster_tol * max(1.0, abs(v)):
+        if merged and v - merged[-1][0] <= CLUSTER_TOL * max(1.0, abs(v)):
             prev = merged[-1]
             prev[0] = (prev[0] * prev[1] + v * m) / (prev[1] + m)
             prev[1] += m
@@ -355,9 +341,9 @@ def solve(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> RootSet:
     )
 
 
-def brute_discriminant(poly, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def brute_discriminant(poly) -> float:
     """prod_{i<j} (x_i - x_j)^2 over all complex roots of a monic polynomial."""
-    roots = all_roots(poly, cfg)
+    roots = all_roots(poly)
     prod = complex(1.0)
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

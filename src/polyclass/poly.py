@@ -185,12 +185,13 @@ class RootSet:
 def root_set_from_values(values: Sequence[float], residuals: Sequence[float],
                          degree: int, complex_pairs: int = 0,
                          merge_tol: float = 0.0) -> RootSet:
-    """Assemble a RootSet from possibly repeated values, merging within merge_tol."""
+    """Assemble a RootSet from possibly repeated values, merging within merge_tol * max|value|."""
     order = sorted(range(len(values)), key=lambda i: values[i])
+    reach = merge_tol * max(map(abs, values)) if merge_tol else 0.0
     merged: list[list] = []
     for i in order:
         v, r = float(values[i]), float(residuals[i])
-        if merged and abs(v - merged[-1][0]) <= merge_tol * max(1.0, abs(v)):
+        if merged and abs(v - merged[-1][0]) <= reach:
             prev = merged[-1]
             prev[0] = (prev[0] * prev[1] + v) / (prev[1] + 1)
             prev[1] += 1

@@ -551,25 +551,24 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     coefficients all decisions are exact.
     """
     comparisons: List[Comparison] = []
-    signs = {}
     point, lam, _ = _sign_test(q, tol)
 
     def sign(name: str) -> int:
         terms = _ON_COEFFS[name](point)
         if lam is None:
-            s, value, margin, fragile = tol.compare_terms(terms)
+            cmp = Comparison(name, *tol.compare_terms(terms))
         else:
-            s, value, margin, fragile = _compare_exact(
-                tol, sum(terms), max(map(abs, terms)), lam ** _WEIGHT[name])
-        comparisons.append(Comparison(name, value, margin, fragile))
-        signs[name] = s
-        return s
+            cmp = Comparison(name, *_compare_exact(
+                tol, sum(terms), max(map(abs, terms)), lam ** _WEIGHT[name]))
+        comparisons.append(cmp)
+        return cmp.sign
 
     case = _cascade(sign)
     nature, position = _CASE_TO_NATURE[case]
     closed = None
     if nature in _ZERO_DISC_NATURES:
-        closed, computed_position = _closed_form_roots(nature, q, tol, signs["c_vs_C0"])
+        s_c0 = next(c.sign for c in comparisons if c.name == "c_vs_C0")
+        closed, computed_position = _closed_form_roots(nature, q, tol, s_c0)
         if computed_position is not None:
             position = computed_position
     return QuarticClassification(

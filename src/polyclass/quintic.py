@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import DegenerateAtBoundary
 from .numeric import DEFAULT_TOL, Tolerance
-from .oracle import DEFAULT_CONFIG, OracleConfig, solve
+from .oracle import solve
 from .poly import Quartic, _lift
 from .quartic import NATURE_STRUCTURE, classify_quartic
 
@@ -162,8 +162,7 @@ class SignChangeSummary:
     t_roots: Tuple[float, ...]
 
 
-def delta5_sign_changes(p, q, r, s, tol: Tolerance = DEFAULT_TOL,
-                        cfg: OracleConfig = DEFAULT_CONFIG) -> SignChangeSummary:
+def delta5_sign_changes(p, q, r, s, tol: Tolerance = DEFAULT_TOL) -> SignChangeSummary:
     """Sign changes of the quintic discriminant as the free term sweeps the reals.
 
     The discriminant is a positive-leading quartic in t, so the count equals
@@ -184,7 +183,7 @@ def delta5_sign_changes(p, q, r, s, tol: Tolerance = DEFAULT_TOL,
     monic = Quartic(*(float(c) / 3125.0 for c in coeffs[1:]))
     cls = classify_quartic(monic, tol)
     expected_count = NATURE_STRUCTURE[cls.nature][0]
-    roots = solve(monic, cfg)
+    roots = solve(monic)
     if roots.real_count != expected_count:
         raise DegenerateAtBoundary(
             f"t-root structure disagrees near a boundary: classifier {expected_count}, "

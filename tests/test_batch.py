@@ -16,6 +16,7 @@ from polyclass import (
     discriminant_quartic,
     synthesize,
 )
+from polyclass import batch
 from polyclass.batch import (
     CASE_BY_INDEX,
     NATURE_BY_CODE,
@@ -265,11 +266,12 @@ class TestAberthBatch:
 
     @pytest.mark.parametrize("max_iter", [120, 3])
     @pytest.mark.parametrize("lam", [2.0 ** -20, 1.0, 2.0 ** 20])
-    def test_matches_tensor_reference(self, rng, lam, max_iter):
+    def test_matches_tensor_reference(self, rng, lam, max_iter, monkeypatch):
         trailing = _scaled(rng.uniform(-10, 10, size=(4, 2000)), lam).T
         if max_iter == 3:
             trailing = np.concatenate([trailing, MULTIPLE_ROOTS])
-        roots = aberth_roots_batch(trailing, max_iter=max_iter)
+        monkeypatch.setattr(batch, "MAX_ITERATIONS", max_iter)
+        roots = aberth_roots_batch(trailing)
         ref = _tensor_aberth(trailing, max_iter=max_iter)
         assert (real_root_count_batch(roots) == real_root_count_batch(ref)).all()
         assert (_repeated(roots) == _repeated(ref)).all()

@@ -23,7 +23,7 @@ from polyclass import (
     viete_roots,
 )
 
-from polyclass import numeric, quartic
+from polyclass import cli, numeric, quartic
 from polyclass.cubic import viete_values
 
 from conftest import cubic_coeffs_from_roots
@@ -217,6 +217,29 @@ class TestVieteRoots:
         cu = Cubic(*cubic_coeffs_from_roots(r, r, r))
         assert classify_cubic(cu).kind is CubicKind.TRIPLE_REAL
         assert viete_roots(cu).roots == ((r, 3),)
+
+    @pytest.mark.parametrize("roots, multiplicities", [
+        ((0.0, 1e-7, 2e-7), [1, 1, 1]),
+        ((-1.0, 1.0, 1.002), [1, 1, 1]),
+        ((3.0, -2.5, -2.504), [1, 1, 1]),
+        ((0.0, 1e-3, -1.0), [1, 1, 1]),
+        ((-0.75, 1e-3, 2e-3), [1, 1, 1]),
+        ((1e-7, 1e-7, -2e-7), [1, 2]),
+        ((0.5, 0.5, -1.0), [1, 2]),
+        ((1.5, 1.5, 0.25), [1, 2]),
+        ((-3.0, 0.75, 0.75), [1, 2]),
+        ((0.0, 0.0, 1.0), [1, 2]),
+    ])
+    def test_multiplicities_survive_power_of_two_scaling(self, roots, multiplicities):
+        # roots 1e-3 apart relative to the largest stay simple, and exact
+        # doubles stay double, in viete_roots and in the classify report,
+        # however small the roots are scaled: the merge is relative
+        base = cubic_coeffs_from_roots(*roots)
+        for k in range(61):
+            a, b, c = (x * 2.0 ** (-k * w) for w, x in enumerate(base, 1))
+            assert sorted(viete_roots(Cubic(a, b, c)).multiplicities) == multiplicities, k
+            report = cli.cmd_classify({"cubic": [repr(a), repr(b), repr(c)]})[0].data
+            assert sorted(r["multiplicity"] for r in report["roots"]) == multiplicities, k
 
     def test_boundary_double_root_merges(self):
         rs = viete_roots(Cubic(0.0, -1.0, C1_SYMMETRIC))

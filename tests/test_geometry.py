@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from polyclass import (
+    ClassificationCase,
     Nature,
     NoTetrahedron,
     NotFourReal,
     Quartic,
+    Tolerance,
     classify_quartic,
     localize_roots,
     root_bounds,
@@ -168,6 +170,16 @@ class TestLocalization:
         assert loc.tie_at_c0 and loc.branch == "low_c"
         for x, (lo, hi) in zip((-1.0, -1.0, 1.0, 1.0), loc.intervals):
             assert lo - 1e-9 <= x <= hi + 1e-9
+
+    def test_branch_is_the_classification_decision(self):
+        # c sits 1e-5 above C0 = -2: at eps 1e-3 the verdict (case xxvii) has
+        # c = C0, so the localization ties there too, whatever the default
+        # tolerance would decide
+        q = Quartic(-4.0, 5.0, -1.99999, 0.05)
+        cls = classify_quartic(q, Tolerance(1e-3))
+        assert cls.case is ClassificationCase.XXVII
+        loc = localize_roots(q, cls)
+        assert loc.tie_at_c0 is True and loc.branch == "low_c"
 
     def test_rejects_two_real(self):
         q = Quartic(0.0, 0.0, 0.0, -1.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polyclass import (
     Cubic,
     NoConvergence,
-    OracleConfig,
     Quartic,
     Quintic,
     all_roots,
@@ -71,18 +70,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([0.0, 1.0, 1.0])
 
-    def test_no_convergence_carries_trace(self):
-        cfg = OracleConfig(max_iterations=1, convergence_tol=1e-13,
-                           cluster_tol=1e-6, polish_steps=1)
+    def test_no_convergence_carries_trace(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
         with pytest.raises(NoConvergence) as err:
-            solve(Quintic(1.0, -3.0, 2.0, 5.0, -7.0), cfg)
+            solve(Quintic(1.0, -3.0, 2.0, 5.0, -7.0))
         assert len(err.value.trace) == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OracleConfig(cluster_tol=-1.0)
 
 
 class TestDeterminism:
@@ -167,13 +159,13 @@ def _reference_partitions(n):
     yield from rec(0, [])
 
 
-def _reference_cluster(points, derivs, scale, cfg):
+def _reference_cluster(points, derivs, scale):
     """The first admissible partition with the fewest groups, then the least
     summed diameter, among all of them."""
     best = None
     for parts in _reference_partitions(len(points)):
         clusters = [[points[i] for i in group] for group in parts]
-        if not all(oracle._cluster_ok(cl, derivs, cfg.cluster_tol, scale) for cl in clusters):
+        if not all(oracle._cluster_ok(cl, derivs, scale) for cl in clusters):
             continue
         key = (len(clusters), sum(oracle._diameter(cl) for cl in clusters))
         if best is None or key < best[0]:
@@ -220,8 +212,8 @@ def root_points(draw):
 @given(root_points())
 def test_gated_cluster_equals_the_exhaustive_search(case):
     points, derivs, scale = case
-    got = oracle._cluster(points, derivs, scale, oracle.DEFAULT_CONFIG)
-    want = _reference_cluster(points, derivs, scale, oracle.DEFAULT_CONFIG)
+    got = oracle._cluster(points, derivs, scale)
+    want = _reference_cluster(points, derivs, scale)
     assert _hex_groups(got) == _hex_groups(want)
 
 
@@ -229,12 +221,11 @@ def test_gated_cluster_equals_the_exhaustive_search(case):
 @given(root_points())
 def test_a_group_with_a_pair_beyond_the_gate_is_never_admissible(case):
     points, derivs, scale = case
-    tol = oracle.DEFAULT_CONFIG.cluster_tol
-    gate = oracle._gate(points, derivs, scale, tol)
+    gate = oracle._gate(points, derivs, scale)
     for mask in range(1, 1 << len(points)):
         group = [z for i, z in enumerate(points) if mask >> i & 1]
         if any(abs(x - y) > gate for x in group for y in group):
-            assert not oracle._cluster_ok(group, derivs, tol, scale)
+            assert not oracle._cluster_ok(group, derivs, scale)
 
 
 def test_gated_partitions_keep_the_exhaustive_order():
@@ -248,7 +239,7 @@ def test_gated_partitions_keep_the_exhaustive_order():
 
 def test_a_point_that_is_not_finite_prunes_nothing():
     derivs = oracle._derivative_coeffs([1.0, 0.0, -1.0])
-    assert oracle._gate([complex(math.nan), 1 + 0j], derivs, 2.0, 1e-6) == math.inf
+    assert oracle._gate([complex(math.nan), 1 + 0j], derivs, 2.0) == math.inf
 
 
 def _scatter_calls_inside_cluster(monkeypatch, coeffs):
