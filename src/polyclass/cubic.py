@@ -235,11 +235,16 @@ def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
 
     Raises OverflowError when the formulas overflow to a non-finite root.
     """
-    return _root_set(cu, *viete_values(cu, tol))
+    kind, payload = viete_values(cu, tol)
+    distinct = kind == "three" and tol.sign_terms(cubic_discriminant_terms(cu)) > 0
+    return _root_set(cu, kind, payload, distinct)
 
 
-def _root_set(cu: Cubic, kind, payload) -> RootSet:
-    """The RootSet of viete_values' (kind, payload)."""
+def _root_set(cu: Cubic, kind, payload, distinct: bool) -> RootSet:
+    """The RootSet of viete_values' (kind, payload).  Values within 1e-6 of the
+    largest |root| merge into a double unless the discriminant's sign test
+    read three ``distinct`` roots: next to a far root the formulas cannot
+    resolve a near pair, so only that test tells a double from a close pair."""
     if not all(math.isfinite(v) for v in (payload if kind == "three" else (payload,))):
         raise OverflowError(_OVERFLOW)
     cu_f = cu.as_float()
@@ -249,7 +254,7 @@ def _root_set(cu: Cubic, kind, payload) -> RootSet:
         return RootSet(((payload, 1),), 1, (abs(cu_f(payload)),), 3)
     values = sorted(payload)
     residuals = [abs(cu_f(v)) for v in values]
-    return root_set_from_values(values, residuals, degree=3, merge_tol=1e-6)
+    return root_set_from_values(values, residuals, 3, merge_tol=0.0 if distinct else 1e-6)
 
 
 def _held_values(cu: Cubic, three: bool, tol: Tolerance):
@@ -280,8 +285,9 @@ def _verdict_roots(cu: Cubic, cls: CubicClassification, tol: Tolerance) -> RootS
     """viete_roots held to the verdict ``cls``: three real roots, counted by
     multiplicity, for a two- or three-real verdict, one and a complex pair for
     a one-real verdict (see _held_values)."""
-    three = cls.kind in (CubicKind.THREE_DISTINCT_REAL, CubicKind.DOUBLE_PLUS_SINGLE)
-    return _root_set(cu, *_held_values(cu, three, tol))
+    distinct = cls.kind is CubicKind.THREE_DISTINCT_REAL
+    three = distinct or cls.kind is CubicKind.DOUBLE_PLUS_SINGLE
+    return _root_set(cu, *_held_values(cu, three, tol), distinct)
 
 
 def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:

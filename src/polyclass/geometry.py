@@ -14,7 +14,7 @@ from typing import Tuple
 
 from .errors import NoTetrahedron, NotFourReal
 from .poly import Quartic
-from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap
+from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap, c0_sign
 
 SQRT3 = math.sqrt(3.0)
 
@@ -118,7 +118,7 @@ def localize_roots(q: Quartic, cls: QuarticClassification) -> LocalizationResult
     if cls.nature is Nature.QUADRUPLE_ROOT:
         raise NoTetrahedron("quadruple root: the tetrahedron degenerates to a point")
     t = tetrahedron_data(float(q.a), float(q.b))
-    s_c0 = next(c.sign for c in cls.comparisons if c.name == "c_vs_C0")
+    s_c0 = c0_sign(cls.comparisons)
     tie = s_c0 == 0
     if s_c0 <= 0:
         intervals = (

@@ -122,6 +122,11 @@ class QuarticClassification:
         return thr
 
 
+def c0_sign(comparisons) -> int:
+    """The recorded sign of c - C0, which every path of _cascade decides."""
+    return next(c.sign for c in comparisons if c.name == "c_vs_C0")
+
+
 @dataclass(frozen=True)
 class BoundaryAudit:
     comparisons: Tuple[Comparison, ...]
@@ -567,8 +572,7 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     nature, position = _CASE_TO_NATURE[case]
     closed = None
     if nature in _ZERO_DISC_NATURES:
-        s_c0 = next(c.sign for c in comparisons if c.name == "c_vs_C0")
-        closed, computed_position = _closed_form_roots(nature, q, tol, s_c0)
+        closed, computed_position = _closed_form_roots(nature, q, tol, c0_sign(comparisons))
         if computed_position is not None:
             position = computed_position
     return QuarticClassification(

@@ -224,6 +224,8 @@ class TestVieteRoots:
         ((3.0, -2.5, -2.504), [1, 1, 1]),
         ((0.0, 1e-3, -1.0), [1, 1, 1]),
         ((-0.75, 1e-3, 2e-3), [1, 1, 1]),
+        ((1e6, 0.0, 0.5), [1, 1, 1]),
+        ((1e5, -1.0, -1.001), [1, 1, 1]),
         ((1e-7, 1e-7, -2e-7), [1, 2]),
         ((0.5, 0.5, -1.0), [1, 2]),
         ((1.5, 1.5, 0.25), [1, 2]),
@@ -231,9 +233,9 @@ class TestVieteRoots:
         ((0.0, 0.0, 1.0), [1, 2]),
     ])
     def test_multiplicities_survive_power_of_two_scaling(self, roots, multiplicities):
-        # roots 1e-3 apart relative to the largest stay simple, and exact
-        # doubles stay double, in viete_roots and in the classify report,
-        # however small the roots are scaled: the merge is relative
+        # roots 1e-3 apart relative to the pair's own size stay simple, also
+        # next to a far root, and exact doubles stay double, in viete_roots
+        # and in the classify report, however small the roots are scaled
         base = cubic_coeffs_from_roots(*roots)
         for k in range(61):
             a, b, c = (x * 2.0 ** (-k * w) for w, x in enumerate(base, 1))
