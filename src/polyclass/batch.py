@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numeric import MIN_NORMAL
+from .numeric import DEFAULT_EPS, MIN_NORMAL
 from .quartic import (
     _CASE_TO_NATURE,
     _ON_COEFFS,
@@ -80,7 +80,7 @@ def _tables() -> Tuple[np.ndarray, np.ndarray]:
     return case_of.ravel(), consulted.ravel()
 
 
-def _sign_digit_and_margin(terms, eps: float):
+def _sign_digit_and_margin(terms):
     """1 + sign and |margin| (tolerance units) of one predicate, as the scalar test.
 
     A sum that overflowed (or a NaN input) reads as an exact zero: sign 0
@@ -94,7 +94,7 @@ def _sign_digit_and_margin(terms, eps: float):
     overflow = ~np.isfinite(value)  # a non-finite term makes the sum non-finite
     value[overflow] = 0.0
     scale[overflow] = 0.0
-    denom = eps * np.maximum(scale, MIN_NORMAL)
+    denom = DEFAULT_EPS * np.maximum(scale, MIN_NORMAL)
     margin = np.abs(value) / denom
     margin[value == 0.0] = 0.0
     digit = (value >= -denom).astype(np.intp)
@@ -102,14 +102,14 @@ def _sign_digit_and_margin(terms, eps: float):
     return digit, margin
 
 
-def _classify(a, b, c, d, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+def _classify(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
     case_of, consulted = _tables()
     q = _Coeffs(*(np.asarray(x, dtype=np.float64) for x in (a, b, c, d)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         key = np.zeros(q.a.shape, dtype=np.intp)
         margins = []
         for fn in _PREDICATES:  # q builds the d-cubic once, for the first predicate on it
-            digit, margin = _sign_digit_and_margin(fn(q), eps)
+            digit, margin = _sign_digit_and_margin(fn(q))
             key *= 3
             key += digit
             margins.append(margin)
@@ -122,8 +122,7 @@ def _classify(a, b, c, d, eps: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def classify_case_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                        d: np.ndarray, eps: float = 1e-9
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+                        d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Case indices (into CASE_BY_INDEX) plus the smallest decision margin.
 
     The margin, in tolerance units, is the minimum of |margin| over the
@@ -131,18 +130,17 @@ def classify_case_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     below 10 are boundary-fragile.  A comparison that overflows float64
     counts as zero with margin 0.
     """
-    return _classify(a, b, c, d, eps)
+    return _classify(a, b, c, d)
 
 
 def classify_nature_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          d: np.ndarray, eps: float = 1e-9
-                          ) -> Tuple[np.ndarray, np.ndarray]:
+                          d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Nature codes (into NATURE_BY_CODE) plus the smallest decision margin.
 
     The same verdict as classify_case_batch, with each case mapped to its
     nature.
     """
-    case, min_margin = _classify(a, b, c, d, eps)
+    case, min_margin = _classify(a, b, c, d)
     return NATURE_CODE_BY_CASE[case], min_margin
 
 

@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from numbers import Integral, Rational
+from numbers import Rational
 from operator import add
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -42,27 +42,6 @@ def is_exact(value) -> bool:
     if type(value) is float:  # the common case; skips the ABC check
         return False
     return isinstance(value, Rational)
-
-
-def all_exact(values: Iterable) -> bool:
-    return all(is_exact(v) for v in values)
-
-
-def ensure_finite(name: str, value: Number) -> Number:
-    if isinstance(value, Rational):
-        # numpy integers are Integral too: as Python ints their products cannot
-        # wrap.  A Fraction built from them keeps them as its numerator and
-        # denominator, so it is rebuilt from Python ints.
-        if isinstance(value, Integral):
-            return int(value)
-        num, den = value.numerator, value.denominator
-        if type(num) is int and type(den) is int:
-            return value
-        return Fraction(int(num), int(den))
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"coefficient {name!r} must be finite, got {value!r}")
-    return v
 
 
 def parse_number(text: str, exact: bool) -> Number:

@@ -1,77 +1,106 @@
 """Core polynomial types, closed-form discriminants and the Sturmian cross-check.
 
-Monic polynomials are stored by their trailing coefficients.  Coefficients may
-be floats (default) or ``fractions.Fraction``/int (exact mode); every formula
-here is written so that exact inputs stay exact.
+Monic polynomials are stored by their trailing coefficients, in one
+arithmetic per polynomial: all ``fractions.Fraction`` when every coefficient
+is rational (ints and numpy integers included), else all float.  A single
+float coefficient makes the whole polynomial float.  Every formula here is
+written so that exact inputs stay exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
+from operator import attrgetter
 from typing import Sequence, Tuple
 
 from .errors import AmbiguousSign, ImpossibleSignPattern
-from .numeric import (
-    DEFAULT_TOL,
-    Number,
-    Tolerance,
-    all_exact,
-    ensure_finite,
-    is_exact,
-)
+from .numeric import DEFAULT_TOL, Number, Tolerance
+
+_FLOAT, _FRACTION, _FRACTION_INT = {float}, {Fraction}, {Fraction, int}
 
 
-def _lift(v: Number):
-    """Promote ints to Fraction so that divisions stay exact; floats pass through."""
-    return Fraction(v) if is_exact(v) else float(v)
+def _python_fraction(v) -> Fraction:
+    # parts rebuilt as Python ints: numpy integers (Rational too) would wrap
+    # at 2^63, and a Fraction built from them keeps them as its parts
+    num, den = v.numerator, v.denominator
+    if isinstance(v, Fraction) and type(num) is int and type(den) is int:
+        return v
+    return Fraction(int(num)) if den == 1 else Fraction(int(num), int(den))
 
 
-def _normalize(lead: Number, coeffs: Sequence[Number]):
-    if lead == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    lead = _lift(lead)
-    return tuple(_lift(c) / lead for c in coeffs)
+def _uniform(values: Tuple) -> Tuple:
+    """``values`` in one arithmetic: all Fraction (with int parts) when every value
+    is rational, else all float; ValueError for a non-finite value.  Returns
+    ``values`` itself when it already conforms."""
+    kinds = set(map(type, values))
+    if kinds == _FRACTION and all(
+            type(v.numerator) is int and type(v.denominator) is int for v in values):
+        return values
+    if kinds <= _FRACTION_INT or (
+            float not in kinds and all(isinstance(v, Rational) for v in values)):
+        return tuple(map(_python_fraction, values))
+    if kinds != _FLOAT:
+        values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"coefficients must be finite, got {values!r}")
+    return values
+
+
+class _Monic:
+    """Shared body of the monic classes; a subclass declares its coefficient
+    fields, its Horner ``__call__`` and its ``derivative_monic``."""
+
+    def __init_subclass__(cls):
+        cls._names = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._names)
+
+    def __post_init__(self):
+        values = self._values(self)
+        held = _uniform(values)
+        if held is not values:
+            for name, v in zip(self._names, held):
+                object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_leading(cls, lead: Number, *coeffs: Number):
+        """Build from lead*x^n + ..., normalizing to monic."""
+        lead, *coeffs = _uniform((lead, *coeffs))
+        if lead == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        return cls(*(c / lead for c in coeffs))
+
+    @property
+    def is_exact(self) -> bool:
+        return type(self._values(self)[0]) is not float
+
+    def coefficients(self) -> Tuple[Number, ...]:
+        return (1, *self._values(self))
+
+    def as_float(self):
+        return type(self)(*map(float, self._values(self)))
 
 
 @dataclass(frozen=True)
-class Cubic:
+class Cubic(_Monic):
     """Monic cubic x^3 + a x^2 + b x + c."""
 
     a: Number
     b: Number
     c: Number
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, ensure_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_leading(cls, lead: Number, a: Number, b: Number, c: Number) -> "Cubic":
-        """Build from a general cubic lead*x^3 + a x^2 + b x + c, normalizing to monic."""
-        return cls(*_normalize(lead, (a, b, c)))
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact((self.a, self.b, self.c))
-
-    def coefficients(self) -> Tuple[Number, ...]:
-        return (1, self.a, self.b, self.c)
-
     def __call__(self, x):
         return ((x + self.a) * x + self.b) * x + self.c
 
     def derivative_monic(self):
         """Monic quadratic proportional to the derivative, with the factor 3."""
-        a, b = _lift(self.a), _lift(self.b)
-        return (2 * a / 3, b / 3), 3
-
-    def as_float(self) -> "Cubic":
-        return Cubic(float(self.a), float(self.b), float(self.c))
+        return (2 * self.a / 3, self.b / 3), 3
 
 
 @dataclass(frozen=True)
-class Quartic:
+class Quartic(_Monic):
     """Monic quartic x^4 + a x^3 + b x^2 + c x + d."""
 
     a: Number
@@ -79,35 +108,16 @@ class Quartic:
     c: Number
     d: Number
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, ensure_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_leading(cls, lead: Number, a, b, c, d) -> "Quartic":
-        return cls(*_normalize(lead, (a, b, c, d)))
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact((self.a, self.b, self.c, self.d))
-
-    def coefficients(self) -> Tuple[Number, ...]:
-        return (1, self.a, self.b, self.c, self.d)
-
     def __call__(self, x):
         return (((x + self.a) * x + self.b) * x + self.c) * x + self.d
 
     def derivative_monic(self) -> Tuple[Cubic, int]:
         """Monic cubic proportional to the derivative 4x^3+3ax^2+2bx+c, with the factor 4."""
-        a, b, c = _lift(self.a), _lift(self.b), _lift(self.c)
-        return Cubic(3 * a / 4, b / 2, c / 4), 4
-
-    def as_float(self) -> "Quartic":
-        return Quartic(float(self.a), float(self.b), float(self.c), float(self.d))
+        return Cubic(3 * self.a / 4, self.b / 2, self.c / 4), 4
 
 
 @dataclass(frozen=True)
-class Quintic:
+class Quintic(_Monic):
     """Monic quintic x^5 + p x^4 + q x^3 + r x^2 + s x + t."""
 
     p: Number
@@ -116,27 +126,11 @@ class Quintic:
     s: Number
     t: Number
 
-    def __post_init__(self):
-        for name in ("p", "q", "r", "s", "t"):
-            object.__setattr__(self, name, ensure_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_leading(cls, lead: Number, p, q, r, s, t) -> "Quintic":
-        return cls(*_normalize(lead, (p, q, r, s, t)))
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact((self.p, self.q, self.r, self.s, self.t))
-
-    def coefficients(self) -> Tuple[Number, ...]:
-        return (1, self.p, self.q, self.r, self.s, self.t)
-
     def __call__(self, x):
         return ((((x + self.p) * x + self.q) * x + self.r) * x + self.s) * x + self.t
 
     def derivative_monic(self) -> Tuple[Quartic, int]:
-        p, q, r, s = _lift(self.p), _lift(self.q), _lift(self.r), _lift(self.s)
-        return Quartic(4 * p / 5, 3 * q / 5, 2 * r / 5, s / 5), 5
+        return Quartic(4 * self.p / 5, 3 * self.q / 5, 2 * self.r / 5, self.s / 5), 5
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .poly import (
     Cubic,
     Quartic,
     RootSet,
-    _lift,
     _powers,
     quartic_disc_d_derivative_terms,
     quartic_disc_d_second_terms,
@@ -247,16 +246,16 @@ _WEIGHT = {name: w for name, (_, w) in _COMPARISONS.items()}
 
 
 def _lattice(q: Quartic):
-    """For all-rational q, the ints (la, l^2 b, l^3 c, l^4 d) and l, four times the
-    lcm of the denominators; None when a coefficient is a float.
+    """For a Fraction q, the ints (la, l^2 b, l^3 c, l^4 d) and l, four times the
+    lcm of the denominators; None for a float q.
 
     Every predicate is weighted-homogeneous, so its sign at q is its sign at the
     lattice point, and its terms there are ints.  The factor 4 makes the
     d-cubic's A, B, C integers there too (see _d_cubic).
     """
-    coeffs = (q.a, q.b, q.c, q.d)
-    if float in map(type, coeffs):  # a Quartic holds floats and rationals only
+    if type(q.a) is float:  # a Quartic holds all floats or all Fractions
         return None
+    coeffs = (q.a, q.b, q.c, q.d)
     lam = 4 * math.lcm(*(v.denominator for v in coeffs))
     ints, power = [], 1
     for v in coeffs:
@@ -278,10 +277,7 @@ def _sign_test(q: Quartic, tol: Tolerance):
     lattice = _lattice(q)
     if lattice is not None:
         return (*lattice, _int_sign)
-    coeffs = (q.a, q.b, q.c, q.d)
-    if int in map(type, coeffs):  # _d_cubic would read ints as a lattice point
-        coeffs = map(_lift, coeffs)
-    return _Coeffs(*coeffs), None, tol.sign_terms
+    return _Coeffs(q.a, q.b, q.c, q.d), None, tol.sign_terms
 
 
 def _value(x, k, lam, w: int):
@@ -303,7 +299,7 @@ def _b_gap(a, b, lam=None):
 
 def delta3_expanded(q: Quartic):
     """Discriminant of the d-cubic, straight from its closed form."""
-    a, b, c = _lift(q.a), _lift(q.b), _lift(q.c)
+    a, b, c = q.a, q.b, q.c
     sq = a ** 3 - 4 * a * b + 8 * c
     bracket = 4 * c * c + a * (a * a - 4 * b) * c - b * b * (a * a - 32 * b / 9) / 3
     return -314928 * sq * sq * bracket ** 3
@@ -317,8 +313,8 @@ def delta3(q: Quartic):
     conjugate pair.  K = 1289945088 = 314928 * 64 * 64 makes the factored and
     expanded forms identical.
     """
-    off_c0 = _lift(sum_terms(_c0_terms(q))) / 8
-    band = _lift(sum_terms(_band_terms(q))) / 108
+    off_c0 = sum_terms(_c0_terms(q)) / 8
+    band = sum_terms(_band_terms(q)) / 108
     return -1289945088 * off_c0 ** 2 * band ** 3
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from .errors import DegenerateAtBoundary
 from .numeric import DEFAULT_TOL, Tolerance
 from .oracle import solve
-from .poly import Quartic, _lift
+from .poly import Quartic, _uniform
 from .quartic import NATURE_STRUCTURE, classify_quartic
 
 
@@ -35,7 +35,7 @@ class QuinticCascade:
 
 def delta5_coefficients(p, q, r, s) -> Tuple:
     """Coefficients of the quintic discriminant as a quartic in the free term."""
-    p, q, r, s = _lift(p), _lift(q), _lift(r), _lift(s)
+    p, q, r, s = _uniform((p, q, r, s))
     c4 = 3125
     c3 = (256 * p ** 5 - 1600 * p ** 3 * q + 2000 * p * p * r + 2250 * p * q * q
           - 2500 * p * s - 3750 * q * r)
@@ -103,14 +103,14 @@ def _cubed_factor_terms(p, q, r, s) -> Tuple:
 
 def delta_t_value(p, q, r, s):
     """Discriminant of the t-quartic: -256 * [..]^2 * [..]^3 as printed."""
-    p, q, r, s = _lift(p), _lift(q), _lift(r), _lift(s)
+    p, q, r, s = _uniform((p, q, r, s))
     sq = sum(_squared_factor_terms(p, q, r, s))
     cu = sum(_cubed_factor_terms(p, q, r, s))
     return -256 * sq * sq * cu ** 3
 
 
 def delta_tilde_s_value(p, q, r):
-    p, q, r = _lift(p), _lift(q), _lift(r)
+    p, q, r = _uniform((p, q, r))
     return (-5038848 * (4 * p ** 3 - 15 * p * q + 25 * r) ** 2
             * (8 * p ** 3 * r - 3 * p * p * q * q - 30 * p * q * r
                + 10 * q ** 3 + 25 * r * r) ** 3)
@@ -124,27 +124,39 @@ def delta_tilde_s_factored(p, q, r):
     The quadratic is evaluated through its coefficients, which keeps this
     exact for rational input and defined when R1, R2 are complex.
     """
-    p, q, r = _lift(p), _lift(q), _lift(r)
-    r0 = -4 * p ** 3 / 25 + 3 * p * q / 5
-    prod = r * r - 2 * r0 * r + r0 * r0 - 2 * (2 * p * p - 5 * q) ** 3 / 625
+    p, q, r = _uniform((p, q, r))
+    r0 = _r0(p, q)
+    prod = r * r - 2 * r0 * r + r0 * r0 - 2 * _r_gap(p, q) ** 3 / 625
     return -5038848 * 9765625 * (r - r0) ** 2 * prod ** 3
 
 
 def delta_tilde_r_value(p, q):
-    p, q = _lift(p), _lift(q)
-    return 8 * (2 * p * p - 5 * q) ** 3
+    p, q = _uniform((p, q))
+    return 8 * _r_gap(p, q) ** 3
+
+
+def _r0(p, q):
+    """R0 = -4p^3/25 + 3pq/5, the double root in r of the delta_tilde_s factor."""
+    return -4 * p ** 3 / 25 + 3 * p * q / 5
+
+
+def _r_gap(p, q):
+    """2p^2 - 5q; R1, R2 = R0 +- (sqrt(2)/25) (2p^2 - 5q)^(3/2)."""
+    return 2 * p * p - 5 * q
 
 
 def quintic_cascade(p, q, r, s) -> QuinticCascade:
-    """All cascade values for the quintic with unspecified free term."""
+    """All cascade values for the quintic with unspecified free term.
+
+    R0 is exact for rational input; R1 and R2 are floats formed from it.
+    """
+    p, q, r, s = _uniform((p, q, r, s))
     coeffs = delta5_coefficients(p, q, r, s)
-    pf, qf = float(p), float(q)
-    gap = 2.0 * pf * pf - 5.0 * qf
-    r0 = -4 * pf ** 3 / 25.0 + 3.0 * pf * qf / 5.0
+    r0, gap = _r0(p, q), float(_r_gap(p, q))
     r1 = r2 = None
     if gap > 0.0:
         half = math.sqrt(2.0) / 25.0 * math.sqrt(gap ** 3)
-        r1, r2 = r0 + half, r0 - half
+        r1, r2 = float(r0) + half, float(r0) - half
     return QuinticCascade(
         delta5_coeffs=coeffs,
         delta_t=delta_t_value(p, q, r, s),

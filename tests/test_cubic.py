@@ -94,7 +94,9 @@ class TestClassify:
     def test_numpy_integers_classify_as_python_ints(self):
         # int64 products would wrap at 2^63, and numpy bools do not subtract
         assert classify_cubic(Cubic(np.int64(2 ** 40), 0, 0)) == classify_cubic(Cubic(2 ** 40, 0, 0))
-        assert type(Quartic(np.int32(3), 0, 0, np.int64(-5)).d) is int
+        d = Quartic(np.int32(3), 0, 0, np.int64(-5)).d
+        assert type(d) is Fraction
+        assert type(d.numerator) is int and type(d.denominator) is int
 
     def test_fraction_of_numpy_integers_classifies_as_python_fraction(self):
         big = Fraction(np.int64(2 ** 40))

@@ -47,6 +47,27 @@ class TestConstruction:
         q = Quartic.from_leading(Fraction(4), 1, 2, 3, 4)
         assert q.a == Fraction(1, 4) and q.is_exact
 
+    def test_one_float_makes_the_polynomial_float(self):
+        q = Quartic(3, 2, -1, -0.95)
+        assert all(type(v) is float for v in q.coefficients()[1:]) and not q.is_exact
+        assert q == Quartic(3.0, 2.0, -1.0, -0.95)
+        cu = Cubic.from_leading(2, 4, 6, 8.0)
+        assert all(type(v) is float for v in cu.coefficients()[1:])
+        assert (cu.a, cu.b, cu.c) == (2.0, 3.0, 4.0)
+
+    def test_ints_are_held_as_fractions(self):
+        q = Quartic(1, 2, 3, 4)
+        assert all(type(v) is Fraction for v in q.coefficients()[1:]) and q.is_exact
+        deriv, factor = q.derivative_monic()
+        assert factor == 4 and deriv.is_exact
+        assert (deriv.a, deriv.b, deriv.c) == (Fraction(3, 4), 1, Fraction(3, 4))
+        assert all(type(v) is Fraction for v in deriv.coefficients()[1:])
+
+    def test_quintic_as_float(self):
+        qf = Quintic(1, Fraction(1, 2), 0, 0, -3).as_float()
+        assert all(type(v) is float for v in qf.coefficients()[1:])
+        assert qf == Quintic(1.0, 0.5, 0.0, 0.0, -3.0)
+
     def test_derivative_of_quartic_is_scaled_monic_cubic(self):
         deriv, factor = Quartic(3.0, 2.0, -1.0, -0.95).derivative_monic()
         assert factor == 4

@@ -349,6 +349,16 @@ class TestExactMode:
         assert cls == classify_quartic(Quartic(Fraction(2 ** 40), 0, 0, 0))
         assert type(Quartic(Fraction(np.int64(3), np.int64(7)), 0, 0, 0).a.denominator) is int
 
+    def test_mixed_int_float_input_is_a_float_quartic(self):
+        mixed = classify_quartic(Quartic(3, 2, -1, -0.95))
+        floaty = classify_quartic(Quartic(3.0, 2.0, -1.0, -0.95))
+        assert mixed.case is floaty.case and mixed.comparisons == floaty.comparisons
+        thr = mixed.thresholds
+        assert thr == floaty.thresholds
+        values = (thr.c_mid, thr.c_hi, thr.c_lo, *thr.abc, *thr.d_roots, thr.d_dagger,
+                  thr.d_tilde)
+        assert all(type(v) is float for v in values if v is not None)
+
     def test_float_boundary_matches_exact_verdict(self):
         exact = classify_quartic(
             Quartic(Fraction(0), Fraction(-2), Fraction(0), Fraction(1)))

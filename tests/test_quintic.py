@@ -166,3 +166,13 @@ class TestCascadeStructure:
         casc = quintic_cascade(Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(1, 4))
         assert isinstance(casc.delta_tilde_r, Fraction)
         assert isinstance(casc.delta5_coeffs[1], Fraction)
+        assert casc.r0 == Fraction(-34, 25) and type(casc.r0) is Fraction
+
+    @pytest.mark.parametrize("p", [1, 1733])
+    def test_mixed_input_is_float(self, p):
+        # an int p among floats is a float, not a Fraction rounded term by term
+        mixed = quintic_cascade(p, -1.5, 0.5, 0.25)
+        floaty = quintic_cascade(float(p), -1.5, 0.5, 0.25)
+        for name in ("delta5_coeffs", "delta_t", "delta_tilde_s", "delta_tilde_r",
+                     "r0", "r1", "r2"):
+            assert repr(getattr(mixed, name)) == repr(getattr(floaty, name)), name
