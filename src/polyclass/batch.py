@@ -8,8 +8,13 @@ minimum margin therefore equal the scalar verdict bit for bit.  The Aberth
 helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
 ``aberth_roots_batch`` iterates only on the polynomials that have not
 converged, kept as compact arrays, and forms each pair's 1/(z_i - z_j)
-once: its work and memory grow with N x degree, never N x degree^2, so one
-call can take a whole sweep chunk.
+once: its work grows with N x degree, never N x degree^2.
+
+Both the iteration and the classifier work through their rows one block
+of ``BLOCK_ROWS`` at a time, so a block's temporaries stay in cache and
+memory beyond the N x degree output does not grow with N.  Every operation
+is elementwise per polynomial and each polynomial stops on its own
+convergence test, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -102,9 +107,9 @@ def _sign_digit_and_margin(terms):
     return digit, margin
 
 
-def _classify(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
+def _classify_block(q: _Coeffs) -> Tuple[np.ndarray, np.ndarray]:
+    """Case index and minimum margin of each sample of the 1-D arrays q."""
     case_of, consulted = _tables()
-    q = _Coeffs(*(np.asarray(x, dtype=np.float64) for x in (a, b, c, d)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         key = np.zeros(q.a.shape, dtype=np.intp)
         margins = []
@@ -119,6 +124,30 @@ def _classify(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
         np.minimum(min_margin, margin, out=min_margin,
                    where=(mask & (1 << p)) != 0)
     return case_of[key], min_margin
+
+
+def _classify(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
+    """Case indices and minimum margins in the broadcast shape of a, b, c, d.
+
+    The samples run BLOCK_ROWS at a time; each sample's verdict depends on
+    its own coefficients alone, so the block size changes no bit.
+    """
+    coeffs = [np.asarray(x, dtype=np.float64) for x in (a, b, c, d)]
+    shape = coeffs[0].shape
+    if any(x.shape != shape for x in coeffs):  # broadcast_arrays costs ~10 us a call
+        coeffs = np.broadcast_arrays(*coeffs)
+        shape = coeffs[0].shape
+    flat = [x.reshape(-1) for x in coeffs]
+    n = flat[0].size
+    if n <= BLOCK_ROWS:
+        case, min_margin = _classify_block(_Coeffs(*flat))
+    else:
+        case = np.empty(n, dtype=np.int8)
+        min_margin = np.empty(n)
+        for lo in range(0, n, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            case[rows], min_margin[rows] = _classify_block(_Coeffs(*(x[rows] for x in flat)))
+    return case.reshape(shape), min_margin.reshape(shape)
 
 
 def classify_case_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -141,7 +170,8 @@ def classify_nature_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     nature.
     """
     case, min_margin = _classify(a, b, c, d)
-    return NATURE_CODE_BY_CASE[case], min_margin
+    # asarray: a 0-d case would index out a numpy scalar, not a 0-d array
+    return np.asarray(NATURE_CODE_BY_CASE[case]), min_margin
 
 
 def _numpy_order_sum(terms):
@@ -229,6 +259,27 @@ def _aberth_step(z: np.ndarray, c: np.ndarray) -> np.ndarray:
 MAX_ITERATIONS = 120
 CONVERGENCE_TOL = 1e-12  # a polynomial stops at its first relative step below this
 REAL_TOL = 1e-6  # a root is real when |Im z| <= REAL_TOL * (1 + max|z|)
+#: rows per block of the Aberth iteration and of the classifier: a block's
+#: complex temporaries stay in a core's L2 cache
+BLOCK_ROWS = 1 << 13
+
+
+def _aberth_block(trailing: np.ndarray, roots: np.ndarray) -> None:
+    """Iterate on the rows of trailing (m, degree); write their roots into roots."""
+    n_poly, degree = trailing.shape
+    radius = 1.0 + np.abs(trailing).max(axis=1)
+    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
+    z = radius[None, :] * np.exp(1j * angles)[:, None]  # z[k, n]: root k of polynomial n
+    ca, idx = trailing.T, np.arange(n_poly)  # the unconverged polynomials
+    for _ in range(MAX_ITERATIONS):
+        done = _aberth_step(z, ca) < CONVERGENCE_TOL
+        if done.any():
+            roots[idx[done]] = z[:, done].T
+            keep = ~done
+            idx, z, ca = idx[keep], z[:, keep], ca[:, keep]
+            if not idx.size:
+                break
+    roots[idx] = z.T
 
 
 def aberth_roots_batch(trailing: np.ndarray) -> np.ndarray:
@@ -237,26 +288,18 @@ def aberth_roots_batch(trailing: np.ndarray) -> np.ndarray:
     ``trailing`` has shape (N, degree): the coefficients after the leading 1,
     descending.  Returns shape (N, degree) complex roots (unordered).  A
     polynomial's roots are those of the same iteration run on it alone.
+    Raises ValueError when a coefficient is NaN or infinite.
     """
     trailing = np.asarray(trailing, dtype=np.float64)
     n_poly, degree = trailing.shape
-    radius = 1.0 + np.abs(trailing).max(axis=1)
-    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius[None, :] * np.exp(1j * angles)[:, None]  # z[k, n]: root k of polynomial n
-    ca, idx = trailing.T, np.arange(n_poly)  # the unconverged polynomials
-    settled = []  # (polynomials, their roots z[:, polynomials]) as they converge
-    for _ in range(MAX_ITERATIONS):
-        done = _aberth_step(z, ca) < CONVERGENCE_TOL
-        if done.any():
-            settled.append((idx[done], z[:, done]))
-            keep = ~done
-            idx, z, ca = idx[keep], z[:, keep], ca[:, keep]
-            if not idx.size:
-                break
-    settled.append((idx, z))
+    # min and max carry any NaN or inf, and make no N-sized temporary
+    if trailing.size and not np.isfinite([trailing.min(), trailing.max()]).all():
+        row = int(np.flatnonzero(~np.isfinite(trailing).all(axis=1))[0])
+        raise ValueError(f"coefficients must be finite, got {trailing[row].tolist()!r} in row {row}")
     roots = np.empty((n_poly, degree), dtype=np.complex128)
-    for rows, zs in settled:
-        roots[rows] = zs.T
+    for lo in range(0, n_poly, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        _aberth_block(trailing[rows], roots[rows])
     return roots
 
 

@@ -1,6 +1,7 @@
 """Vectorized classifier and root finder against their scalar references."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,32 @@ class TestClassifyBatch:
         assert margins[:3].min() == 0.0
         assert margins[3] > 10.0
 
+    def test_four_floats_give_the_scalar_verdict(self):
+        cls = classify_quartic(Quartic(3.0, 2.0, -1.0, -0.95))
+        case, case_margin = classify_case_batch(3.0, 2.0, -1.0, -0.95)
+        code, margin = classify_nature_batch(3.0, 2.0, -1.0, -0.95)
+        for got in (case, case_margin, code, margin):
+            assert isinstance(got, np.ndarray) and got.shape == ()
+        assert CASE_BY_INDEX[case] is cls.case
+        assert NATURE_BY_CODE[code] is cls.nature is Nature.FOUR_DISTINCT_REAL
+        assert float(margin).hex() == float(case_margin).hex() == _scalar(3.0, 2.0, -1.0, -0.95)[1].hex()
+
+    def test_scalars_broadcast_against_arrays(self, rng):
+        b, c, d = rng.uniform(-10, 10, size=(3, 50))
+        full = classify_nature_batch(np.full(50, 3.0), b, c, d)
+        for got, want in zip(classify_nature_batch(3.0, b, c, d), full):
+            assert _same_bits(got, want)
+        grid = rng.uniform(-10, 10, size=(4, 6, 5))
+        for fn in (classify_case_batch, classify_nature_batch):
+            flat = fn(*grid.reshape(4, -1))
+            for got, want in zip(fn(*grid), flat):
+                assert got.shape == (6, 5)
+                assert _same_bits(got.ravel(), want)
+
+    def test_unbroadcastable_shapes_raise(self):
+        with pytest.raises(ValueError):
+            classify_nature_batch(np.zeros(3), np.zeros(4), 0.0, 0.0)
+
     def test_margin_reflects_distance_to_boundary(self):
         a = np.array([3.0, 3.0])
         b = np.array([2.0, 2.0])
@@ -342,6 +369,72 @@ class TestAberthBatch:
         for i in range(n):
             closed = discriminant_quartic(Quartic(*trailing[i]))
             assert brute[i] == pytest.approx(closed, rel=1e-7, abs=1e-5)
+
+
+def _block_rows():
+    """3 blocks of 7 rows and a last block of one, with the multiple-root rows."""
+    rng = np.random.default_rng(7)
+    return np.concatenate([rng.uniform(-10, 10, size=(19, 4)), MULTIPLE_ROOTS])
+
+
+def _sweep_results(trailing):
+    """Roots, cases and margins, nature codes and margins of the rows of trailing."""
+    return (aberth_roots_batch(trailing), *classify_case_batch(*trailing.T),
+            *classify_nature_batch(*trailing.T))
+
+
+class TestBlocks:
+    def test_blocks_change_no_bit(self, monkeypatch):
+        trailing = _block_rows()
+        monkeypatch.setattr(batch, "BLOCK_ROWS", 1 << 20)
+        whole = _sweep_results(trailing)
+        monkeypatch.setattr(batch, "BLOCK_ROWS", 7)
+        blocked = _sweep_results(trailing)
+        for got, want in zip(blocked, whole):
+            assert _same_bits(got, want)
+        for i in range(len(trailing)):
+            alone = _sweep_results(trailing[i:i + 1])
+            for got, want in zip(alone, blocked):
+                assert _same_bits(got[0], want[i]), i
+
+    def test_blocks_change_no_bit_at_sweep_size(self, rng, monkeypatch):
+        trailing = rng.uniform(-10, 10, size=(1 << 15, 4))
+        monkeypatch.setattr(batch, "BLOCK_ROWS", 1 << 20)
+        whole = _sweep_results(trailing)
+        monkeypatch.setattr(batch, "BLOCK_ROWS", 1 << 12)
+        for got, want in zip(_sweep_results(trailing), whole):
+            assert _same_bits(got, want)
+
+    def test_memory_beyond_the_roots_is_bounded_by_a_block(self, rng):
+        n, degree = 8 * batch.BLOCK_ROWS, 4
+        trailing = rng.uniform(-10, 10, size=(n, degree))
+        tracemalloc.start()
+        try:
+            aberth_roots_batch(trailing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        roots = n * degree * 16  # the N x 4 complex128 output
+        block = batch.BLOCK_ROWS * degree * 16
+        # a block's working arrays peak near 5 blocks of roots; the whole
+        # iteration at once peaked near 28 at this n, and grew with n
+        assert peak < roots + 8 * block
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_before_iterating(self, monkeypatch, bad):
+        monkeypatch.setattr(batch, "BLOCK_ROWS", 7)
+        trailing = _block_rows()
+        trailing[16, 2] = bad
+        trailing[20, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from an iteration
+            with pytest.raises(ValueError, match="row 16"):
+                aberth_roots_batch(trailing)
+
+    def test_empty_input(self):
+        assert aberth_roots_batch(np.zeros((0, 4))).shape == (0, 4)
+        codes, margins = classify_nature_batch(*np.zeros((4, 0)))
+        assert codes.shape == margins.shape == (0,)
 
 
 class TestAgreement:
