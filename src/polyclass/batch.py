@@ -139,14 +139,11 @@ def _classify(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
         shape = coeffs[0].shape
     flat = [x.reshape(-1) for x in coeffs]
     n = flat[0].size
-    if n <= BLOCK_ROWS:
-        case, min_margin = _classify_block(_Coeffs(*flat))
-    else:
-        case = np.empty(n, dtype=np.int8)
-        min_margin = np.empty(n)
-        for lo in range(0, n, BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            case[rows], min_margin[rows] = _classify_block(_Coeffs(*(x[rows] for x in flat)))
+    case = np.empty(n, dtype=np.int8)
+    min_margin = np.empty(n)
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        case[rows], min_margin[rows] = _classify_block(_Coeffs(*(x[rows] for x in flat)))
     return case.reshape(shape), min_margin.reshape(shape)
 
 
