@@ -8,7 +8,12 @@ minimum margin therefore equal the scalar verdict bit for bit.  The Aberth
 helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
 ``aberth_roots_batch`` iterates only on the polynomials that have not
 converged, kept as compact arrays, and forms each pair's 1/(z_i - z_j)
-once: its work grows with N x degree, never N x degree^2.
+once: its work grows with N x degree, never N x degree^2.  Quartics start
+from their Ferrari roots, so one step usually certifies them; a quartic
+whose Ferrari roots hold a non-finite value or two equal values, and any
+polynomial of another degree, starts on the circle of radius
+1 + max|coefficient|, as the scalar oracle does.  A polynomial leaves the
+iteration only after a step below ``CONVERGENCE_TOL``, whatever its start.
 
 Both the iteration and the classifier work through their rows one block
 of ``BLOCK_ROWS`` at a time, so a block's temporaries stay in cache and
@@ -261,13 +266,90 @@ REAL_TOL = 1e-6  # a root is real when |Im z| <= REAL_TOL * (1 + max|z|)
 BLOCK_ROWS = 1 << 13
 
 
-def _aberth_block(trailing: np.ndarray, roots: np.ndarray) -> None:
-    """Iterate on the rows of trailing (m, degree); write their roots into roots."""
-    n_poly, degree = trailing.shape
+def _circle_start(trailing: np.ndarray) -> np.ndarray:
+    """Points on the circle of radius 1 + max|coefficient|, shape (degree, m)."""
+    degree = trailing.shape[1]
     radius = 1.0 + np.abs(trailing).max(axis=1)
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius[None, :] * np.exp(1j * angles)[:, None]  # z[k, n]: root k of polynomial n
-    ca, idx = trailing.T, np.arange(n_poly)  # the unconverged polynomials
+    return radius[None, :] * np.exp(1j * angles)[:, None]
+
+
+def _stable_quadratic(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Both roots of y^2 + beta y + gamma, shape (2, m), without cancellation."""
+    delta = np.sqrt(beta * beta - 4.0 * gamma)
+    delta[(beta.conj() * delta).real < 0] *= -1.0  # so |beta + delta| >= |beta|
+    y = -0.5 * (beta + delta)
+    return np.stack([y, gamma / y])
+
+
+#: the three cube roots of 1, which turn one cube root into the others
+_CUBE_ROOTS_OF_UNITY = (1.0, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -(0.75 ** 0.5)))
+
+
+def _largest_resolvent_root(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Root of largest modulus of u^3 + 2p u^2 + (p^2 - 4r) u - q^2, by Cardano."""
+    # depressed by u = t - 2p/3: t^3 + P t + Q
+    big_p = -p * p / 3.0 - 4.0 * r
+    big_q = -2.0 * p * p * p / 27.0 + 8.0 * p * r / 3.0 - q * q
+    h = np.sqrt(big_q * big_q / 4.0 + big_p * big_p * big_p / 27.0 + 0j)
+    cube = -0.5 * big_q - np.copysign(1.0, big_q) * h  # the larger of -Q/2 +- h
+    s3 = cube ** (1.0 / 3.0)
+    u0, u1, u2 = (w * s3 - big_p / (3.0 * w * s3) - 2.0 * p / 3.0
+                  for w in _CUBE_ROOTS_OF_UNITY)
+    size0, size1, size2 = np.abs(u0), np.abs(u1), np.abs(u2)
+    u = np.where(size1 > size0, u1, u0)
+    return np.where(size2 > np.maximum(size0, size1), u2, u)
+
+
+def _ferrari_roots(trailing: np.ndarray) -> np.ndarray:
+    """Closed-form roots (4, m) of the monic quartics trailing (m, 4).
+
+    x = y - a/4 leaves y^4 + p y^2 + q y + r.  With u the resolvent cubic's
+    root of largest modulus and s = sqrt(u), the quartic is the product of
+    y^2 + s y + (p + u)/2 - q/(2s) and y^2 - s y + (p + u)/2 + q/(2s).
+    A row that overflows or meets 0/0 gets a non-finite root.
+    """
+    a, b, c, d = trailing.T
+    with np.errstate(all="ignore"):
+        shift = 0.25 * a
+        shift2 = shift * shift
+        p = b - 6.0 * shift2
+        q = c - 2.0 * b * shift + 8.0 * shift2 * shift
+        r = d - c * shift + b * shift2 - 3.0 * shift2 * shift2
+        u = _largest_resolvent_root(p, q, r)
+        s = np.sqrt(u)
+        half = 0.5 * (p + u)
+        skew = q / (2.0 * s)
+        y = np.concatenate([_stable_quadratic(s, half - skew),
+                            _stable_quadratic(-s, half + skew)])
+        y -= shift
+        return y
+
+
+def _start(trailing: np.ndarray) -> np.ndarray:
+    """Starting points (degree, m) of the Aberth iteration on trailing (m, degree).
+
+    Quartics start from their Ferrari roots, so that one step usually
+    certifies them.  A quartic whose Ferrari roots hold a non-finite value
+    or two equal values (x^4, (x - 1)^4, (x^2 - 1)^2 among them), and every
+    polynomial of another degree, starts on the circle.
+    """
+    if trailing.shape[1] != 4:
+        return _circle_start(trailing)
+    z = _ferrari_roots(trailing)
+    circle = ~np.isfinite(z).all(axis=0)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            circle |= z[i] == z[j]
+    if circle.any():
+        z[:, circle] = _circle_start(trailing[circle])
+    return z
+
+
+def _aberth_block(trailing: np.ndarray, roots: np.ndarray) -> None:
+    """Iterate on the rows of trailing (m, degree); write their roots into roots."""
+    z = _start(trailing)  # z[k, n]: root k of polynomial n
+    ca, idx = trailing.T, np.arange(len(trailing))  # the unconverged polynomials
     for _ in range(MAX_ITERATIONS):
         done = _aberth_step(z, ca) < CONVERGENCE_TOL
         if done.any():

@@ -1,5 +1,6 @@
 """Vectorized classifier and root finder against their scalar references."""
 
+import itertools
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -65,16 +66,21 @@ def _scaled(abcd, lam):
 dyadic = st.integers(-64, 64).map(lambda n: n / 8.0)
 
 
-def _tensor_aberth(trailing, max_iter=120, tol=1e-12):
+def _tensor_aberth(trailing, max_iter=120, tol=1e-12, start=None):
     """The earlier batch Aberth iteration, kept as a reference.
 
     Every step gathers the active rows, sums an N x d x d tensor of
-    1/(z_i - z_j) with numpy's ``sum`` and scatters the rows back.
+    1/(z_i - z_j) with numpy's ``sum`` and scatters the rows back.  The
+    iteration starts from start (N, d), or else on the circle of radius
+    1 + max|coefficient|.
     """
     n_poly, degree = trailing.shape
-    radius = 1.0 + np.abs(trailing).max(axis=1)
-    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    if start is None:
+        radius = 1.0 + np.abs(trailing).max(axis=1)
+        angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
+        z = radius[:, None] * np.exp(1j * angles)[None, :]
+    else:
+        z = np.array(start, dtype=np.complex128)
     coeffs = np.concatenate([np.ones((n_poly, 1)), trailing], axis=1)
     active = np.ones(n_poly, dtype=bool)
     diag = np.arange(degree)
@@ -113,6 +119,22 @@ def _repeated(roots):
     return min_root_gap_batch(roots) < 1e-6 * (1.0 + np.abs(roots).max(axis=1))
 
 
+def _matched_gap(roots, ref):
+    """Largest |roots - ref| of each row, under the pairing of the roots that
+    makes it least."""
+    return np.min([np.abs(roots[:, list(perm)] - ref).max(axis=1)
+                   for perm in itertools.permutations(range(roots.shape[1]))], axis=0)
+
+
+def _monic_from_roots(roots):
+    """Trailing coefficients (N, d) of the monic polynomials with roots (N, d)."""
+    coeffs = np.zeros((len(roots), roots.shape[1] + 1))
+    coeffs[:, 0] = 1.0
+    for k in range(roots.shape[1]):  # multiply by x - root k
+        coeffs[:, 1:] -= roots[:, k:k + 1] * coeffs[:, :-1]
+    return coeffs[:, 1:]
+
+
 def _sums_in_reproduced_order(rng, degree=4):
     """Whether this numpy's ``sum`` over a short complex axis adds in the order
     ``aberth_roots_batch`` reproduces; only then are its roots the tensor
@@ -129,6 +151,10 @@ def _same_bits(x, y):
 #: their exact roots
 MULTIPLE_ROOTS = np.array([[0.0, 0.0, 0.0, 0.0], [-4.0, 6.0, -4.0, 1.0], [0.0, -2.0, 0.0, 1.0]])
 EXACT_ROOTS = [[0.0] * 4, [1.0] * 4, [-1.0, -1.0, 1.0, 1.0]]
+#: x^4 + 1e60 x^2 + 1: finite, but its Ferrari roots overflow (the
+#: resolvent's P^3 is about -4e358), while the circle-started iteration
+#: stays finite
+FERRARI_OVERFLOW = np.array([[0.0, 1e60, 0.0, 1.0]])
 
 
 class TestNatureTables:
@@ -299,11 +325,45 @@ class TestAberthBatch:
             trailing = np.concatenate([trailing, MULTIPLE_ROOTS])
         monkeypatch.setattr(batch, "MAX_ITERATIONS", max_iter)
         roots = aberth_roots_batch(trailing)
-        ref = _tensor_aberth(trailing, max_iter=max_iter)
+        ref = _tensor_aberth(trailing, max_iter=max_iter, start=batch._start(trailing).T)
         assert (real_root_count_batch(roots) == real_root_count_batch(ref)).all()
         assert (_repeated(roots) == _repeated(ref)).all()
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert (np.abs(roots - ref) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("lam", [2.0 ** -20, 1.0, 2.0 ** 20])
+    def test_matches_circle_started_reference(self, rng, lam):
+        # the Ferrari start changes where each root starts, not where it ends
+        trailing = _scaled(rng.uniform(-10, 10, size=(4, 2000)), lam).T
+        roots = aberth_roots_batch(trailing)
+        ref = _tensor_aberth(trailing)
+        assert (real_root_count_batch(roots) == real_root_count_batch(ref)).all()
+        assert (_repeated(roots) == _repeated(ref)).all()
+        scale = np.abs(ref).max(axis=1)
+        assert (_matched_gap(roots, ref) <= 1e-12 * scale).all()
+
+    def test_fallback_rows_keep_the_circle_start(self, rng):
+        trailing = np.concatenate([MULTIPLE_ROOTS, FERRARI_OVERFLOW])
+        assert not np.isfinite(batch._ferrari_roots(FERRARI_OVERFLOW)).all()
+        assert _same_bits(batch._start(trailing), batch._circle_start(trailing))
+        if _sums_in_reproduced_order(rng):
+            assert _same_bits(aberth_roots_batch(trailing), _tensor_aberth(trailing))
+
+    def test_two_steps_certify_every_row(self, rng, monkeypatch):
+        trailing = rng.uniform(-10, 10, size=(1 << 15, 4))
+        full = aberth_roots_batch(trailing)
+        monkeypatch.setattr(batch, "MAX_ITERATIONS", 2)
+        assert _same_bits(aberth_roots_batch(trailing), full)
+
+    @pytest.mark.parametrize("k", [-40, 30, 40, 60])
+    def test_four_real_roots_survive_weighted_scaling(self, rng, k):
+        # the circle's radius grows like 2^4k while the roots grow like 2^k
+        planted = np.sort(rng.uniform(-3.0, 3.0, size=(4000, 4)), axis=1)
+        planted = planted[np.diff(planted, axis=1).min(axis=1) >= 0.1]
+        trailing = _scaled(_monic_from_roots(planted).T, 2.0 ** k).T
+        roots = aberth_roots_batch(trailing)
+        assert len(trailing) > 500
+        assert (real_root_count_batch(roots) == 4).all()
 
     def test_multiple_roots_match_tensor_reference(self, rng):
         roots = aberth_roots_batch(MULTIPLE_ROOTS)
