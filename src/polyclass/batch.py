@@ -9,11 +9,17 @@ helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
 ``aberth_roots_batch`` iterates only on the polynomials that have not
 converged, kept as compact arrays, and forms each pair's 1/(z_i - z_j)
 once: its work grows with N x degree, never N x degree^2.  Quartics start
-from their Ferrari roots, so one step usually certifies them; a quartic
-whose Ferrari roots hold a non-finite value or two equal values, and any
-polynomial of another degree, starts on the circle of radius
-1 + max|coefficient|, as the scalar oracle does.  A polynomial leaves the
-iteration only after a step below ``CONVERGENCE_TOL``, whatever its start.
+from their Ferrari roots, so one step usually certifies them.  The start is
+real float64 arithmetic up to the last two quadratics: the resolvent cubic's
+largest root comes from Viete's trigonometric form or from Cardano with a
+real cube root, polished by one Newton step, and a quartic in x^2 alone
+after depressing is solved as a quadratic in x^2.  Real starting roots are
+moved just off the real axis, which an iteration started on it never
+leaves.  A quartic whose starting points hold a non-finite value or two
+equal values, and any polynomial of another degree, starts on the circle
+of radius 1 + max|coefficient|, as the scalar oracle does.  A polynomial
+leaves the iteration only after a step below ``CONVERGENCE_TOL``, whatever
+its start.
 
 Both the iteration and the classifier work through their rows one block
 of ``BLOCK_ROWS`` at a time, so a block's temporaries stay in cache and
@@ -274,42 +280,62 @@ def _circle_start(trailing: np.ndarray) -> np.ndarray:
     return radius[None, :] * np.exp(1j * angles)[:, None]
 
 
-def _stable_quadratic(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Both roots of y^2 + beta y + gamma, shape (2, m), without cancellation."""
-    delta = np.sqrt(beta * beta - 4.0 * gamma)
-    delta[(beta.conj() * delta).real < 0] *= -1.0  # so |beta + delta| >= |beta|
-    y = -0.5 * (beta + delta)
-    return np.stack([y, gamma / y])
-
-
-#: the three cube roots of 1, which turn one cube root into the others
-_CUBE_ROOTS_OF_UNITY = (1.0, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -(0.75 ** 0.5)))
-
-
 def _largest_resolvent_root(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Root of largest modulus of u^3 + 2p u^2 + (p^2 - 4r) u - q^2, by Cardano."""
-    # depressed by u = t - 2p/3: t^3 + P t + Q
-    big_p = -p * p / 3.0 - 4.0 * r
-    big_q = -2.0 * p * p * p / 27.0 + 8.0 * p * r / 3.0 - q * q
-    h = np.sqrt(big_q * big_q / 4.0 + big_p * big_p * big_p / 27.0 + 0j)
-    cube = -0.5 * big_q - np.copysign(1.0, big_q) * h  # the larger of -Q/2 +- h
-    s3 = cube ** (1.0 / 3.0)
-    u0, u1, u2 = (w * s3 - big_p / (3.0 * w * s3) - 2.0 * p / 3.0
-                  for w in _CUBE_ROOTS_OF_UNITY)
-    size0, size1, size2 = np.abs(u0), np.abs(u1), np.abs(u2)
-    u = np.where(size1 > size0, u1, u0)
-    return np.where(size2 > np.maximum(size0, size1), u2, u)
+    """Largest real root u >= 0 of u^3 + 2p u^2 + (p^2 - 4r) u - q^2.
+
+    Viete's trigonometric form where the resolvent has three real roots,
+    Cardano with a real cube root where it has one, then one safeguarded
+    Newton step on the resolvent itself.  The resolvent is -q^2 <= 0 at
+    u = 0, so its largest root is not negative, and rounding below 0 is
+    clamped.
+    """
+    # u = t - 2v, v = p/3, depresses it to t^3 - 3 m2 t + 2h
+    v = p / 3.0
+    qq = q * q
+    m2 = v * v + 4.0 / 3.0 * r
+    h = v * (4.0 * r - v * v) - 0.5 * qq
+    disc = h * h - m2 * m2 * m2
+    three = disc <= 0.0  # three real roots: then m2 >= 0
+    one = ~three
+    # Viete: t = 2m cos(arccos(-h / m^3) / 3), m = sqrt(m2)
+    m = np.sqrt(m2, where=three, out=np.zeros_like(p))
+    angle = -h / (m * m2)  # 0/0 at a triple root, which keeps the circle start
+    np.clip(angle, -1.0, 1.0, out=angle)
+    np.arccos(angle, out=angle, where=three)
+    angle /= 3.0
+    np.cos(angle, out=angle, where=three)
+    t = 2.0 * m * angle
+    # Cardano: t = A + m2 / A, A = -sign(h) cbrt(|h| + sqrt(disc)) formed without
+    # cancellation.  A + m2/A itself cancels where m2 < 0; the Newton step repairs it
+    big_a = np.sqrt(disc, where=one, out=np.zeros_like(p))
+    big_a += np.abs(h)
+    np.cbrt(big_a, out=big_a)
+    np.copysign(big_a, -h, out=big_a)
+    np.copyto(t, big_a + m2 / big_a, where=one)
+    u = t - 2.0 * v
+    # one Newton step on the undepressed resolvent, kept where it lowers |f|:
+    # next to a near-double root it can throw u far off
+    linear = p * p - 4.0 * r
+    f = ((u + 2.0 * p) * u + linear) * u - qq
+    df = (3.0 * u + 4.0 * p) * u + linear
+    newton = u - np.divide(f, df, where=df != 0.0, out=np.zeros_like(p))
+    f_newton = ((newton + 2.0 * p) * newton + linear) * newton - qq
+    u = np.where(np.abs(f_newton) <= np.abs(f), newton, u)
+    return np.maximum(u, 0.0, out=u)
 
 
 def _ferrari_roots(trailing: np.ndarray) -> np.ndarray:
     """Closed-form roots (4, m) of the monic quartics trailing (m, 4).
 
     x = y - a/4 leaves y^4 + p y^2 + q y + r.  With u the resolvent cubic's
-    root of largest modulus and s = sqrt(u), the quartic is the product of
-    y^2 + s y + (p + u)/2 - q/(2s) and y^2 - s y + (p + u)/2 + q/(2s).
-    A row that overflows or meets 0/0 gets a non-finite root.
+    largest real root and s = sqrt(u), the quartic is the product of
+    y^2 + s y + g1 and y^2 - s y + g2, where g1 + g2 = p + u and g1 g2 = r.
+    All is real float64 arithmetic up to the two quadratics' roots.  Where
+    q = 0 the quartic is a quadratic in y^2, solved as such.  A row that
+    overflows or meets 0/0 gets a non-finite root.
     """
     a, b, c, d = trailing.T
+    z = np.empty((4, len(trailing)), dtype=np.complex128)
     with np.errstate(all="ignore"):
         shift = 0.25 * a
         shift2 = shift * shift
@@ -317,26 +343,59 @@ def _ferrari_roots(trailing: np.ndarray) -> np.ndarray:
         q = c - 2.0 * b * shift + 8.0 * shift2 * shift
         r = d - c * shift + b * shift2 - 3.0 * shift2 * shift2
         u = _largest_resolvent_root(p, q, r)
-        s = np.sqrt(u)
+        half_s = 0.5 * np.sqrt(u)
+        # g1, g2 = (p + u)/2 -+ q/(2s): the one of larger magnitude adds two
+        # terms of one sign, and the other is r over it
         half = 0.5 * (p + u)
-        skew = q / (2.0 * s)
-        y = np.concatenate([_stable_quadratic(s, half - skew),
-                            _stable_quadratic(-s, half + skew)])
-        y -= shift
-        return y
+        skew = q / (4.0 * half_s)
+        big = half + np.copysign(skew, half)
+        small = r / big
+        g2_big = np.signbit(skew) == np.signbit(half)
+        quarter_u = 0.25 * u
+        # y^2 + s y + g1 and y^2 - s y + g2: roots sign s/2 +- sqrt(u/4 - g)
+        for k, sign, g in ((0, -1.0, np.where(g2_big, small, big)),
+                           (2, 1.0, np.where(g2_big, big, small))):
+            quarter_disc = quarter_u - g
+            far = np.sqrt(np.maximum(quarter_disc, 0.0))
+            far += half_s
+            far *= sign  # the real root of larger magnitude, or the real part
+            np.subtract(far, shift, out=z.real[k])
+            np.subtract(np.where(quarter_disc > 0.0, g / far, far), shift, out=z.real[k + 1])
+            imag = np.sqrt(np.maximum(-quarter_disc, 0.0))
+            z.imag[k] = imag
+            np.negative(imag, out=z.imag[k + 1])
+        biquadratic = q == 0.0
+        if biquadratic.any():  # w^2 + p w + r = 0 with w = y^2
+            pb, rb = p[biquadratic], r[biquadratic]
+            root = np.sqrt(pb * pb - 4.0 * rb + 0j)
+            w1 = -0.5 * (pb + np.copysign(1.0, pb) * root)
+            w2 = rb / w1
+            y1, y2 = np.sqrt(w1), np.sqrt(w2)
+            z[:, biquadratic] = [y1, -y1, y2, -y2] - shift[biquadratic]
+    return z
+
+
+#: signed imaginary part, relative to 1 + |x|, given to each real starting
+#: root: opposite for the two roots of a start quadratic
+_OFF_AXIS = 2.0 ** -44 * np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 def _start(trailing: np.ndarray) -> np.ndarray:
     """Starting points (degree, m) of the Aberth iteration on trailing (m, degree).
 
     Quartics start from their Ferrari roots, so that one step usually
-    certifies them.  A quartic whose Ferrari roots hold a non-finite value
-    or two equal values (x^4, (x - 1)^4, (x^2 - 1)^2 among them), and every
-    polynomial of another degree, starts on the circle.
+    certifies them.  A real polynomial's iteration started on the real axis
+    never leaves it, so each real Ferrari root moves off the axis by
+    +-_OFF_AXIS (1 + |x|), far below the step that certifies it; this also
+    parts the two equal roots of a start quadratic with a double root.  A
+    quartic whose starting points still hold a non-finite value or two equal
+    values (x^4, (x - 1)^4, (x^2 - 1)^2 among them), and every polynomial of
+    another degree, starts on the circle.
     """
     if trailing.shape[1] != 4:
         return _circle_start(trailing)
     z = _ferrari_roots(trailing)
+    np.copyto(z.imag, _OFF_AXIS * (1.0 + np.abs(z.real)), where=z.imag == 0.0)
     circle = ~np.isfinite(z).all(axis=0)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -349,15 +408,18 @@ def _start(trailing: np.ndarray) -> np.ndarray:
 def _aberth_block(trailing: np.ndarray, roots: np.ndarray) -> None:
     """Iterate on the rows of trailing (m, degree); write their roots into roots."""
     z = _start(trailing)  # z[k, n]: root k of polynomial n
-    ca, idx = trailing.T, np.arange(len(trailing))  # the unconverged polynomials
+    ca = trailing.T
+    idx = slice(None)  # where the unconverged polynomials go: all, until one leaves
     for _ in range(MAX_ITERATIONS):
         done = _aberth_step(z, ca) < CONVERGENCE_TOL
+        if done.all():
+            break
         if done.any():
+            if isinstance(idx, slice):
+                idx = np.arange(len(trailing))
             roots[idx[done]] = z[:, done].T
             keep = ~done
             idx, z, ca = idx[keep], z[:, keep], ca[:, keep]
-            if not idx.size:
-                break
     roots[idx] = z.T
 
 
@@ -383,9 +445,21 @@ def aberth_roots_batch(trailing: np.ndarray) -> np.ndarray:
 
 
 def real_root_count_batch(roots: np.ndarray) -> np.ndarray:
-    """Number of (numerically) real roots per polynomial."""
-    scale = 1.0 + np.abs(roots).max(axis=1)
-    return (np.abs(roots.imag) <= REAL_TOL * scale[:, None]).sum(axis=1).astype(np.int8)
+    """Number of (numerically) real roots per polynomial.
+
+    Works a column at a time: numpy reduces a short axis slowly, and no
+    N x degree temporary is made.
+    """
+    columns = roots.T
+    scale = np.abs(columns[0])
+    for col in columns[1:]:
+        np.maximum(scale, np.abs(col), out=scale)
+    scale += 1.0
+    scale *= REAL_TOL
+    count = np.zeros(len(roots), dtype=np.int8)
+    for col in columns:
+        count += np.abs(col.imag) <= scale
+    return count
 
 
 def min_root_gap_batch(roots: np.ndarray) -> np.ndarray:

@@ -18,12 +18,13 @@ from polyclass import (
     discriminant_quartic,
     synthesize,
 )
-from polyclass import batch
+from polyclass import all_roots, batch
 from polyclass.batch import (
     CASE_BY_INDEX,
     NATURE_BY_CODE,
     NATURE_CODE_BY_CASE,
     REAL_COUNT_BY_CODE,
+    REAL_TOL,
     REPEATED_BY_CODE,
     _INDEX,
     _inverse_row_sums,
@@ -115,6 +116,12 @@ def _tensor_min_gap(roots):
     return diff.min(axis=(1, 2))
 
 
+def _reference_real_root_count(roots):
+    """The earlier one-line real-root count, kept as a reference."""
+    scale = 1.0 + np.abs(roots).max(axis=1)
+    return (np.abs(roots.imag) <= REAL_TOL * scale[:, None]).sum(axis=1).astype(np.int8)
+
+
 def _repeated(roots):
     return min_root_gap_batch(roots) < 1e-6 * (1.0 + np.abs(roots).max(axis=1))
 
@@ -143,6 +150,19 @@ def _sums_in_reproduced_order(rng, degree=4):
     return np.array_equal(t.sum(axis=1), _numpy_order_sum(list(t.T)))
 
 
+def _count_step_rows(monkeypatch):
+    """A list that records the row count of each ``_aberth_step`` call."""
+    rows = []
+    step = batch._aberth_step
+
+    def counted(z, c):
+        rows.append(z.shape[1])
+        return step(z, c)
+
+    monkeypatch.setattr(batch, "_aberth_step", counted)
+    return rows
+
+
 def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -151,10 +171,10 @@ def _same_bits(x, y):
 #: their exact roots
 MULTIPLE_ROOTS = np.array([[0.0, 0.0, 0.0, 0.0], [-4.0, 6.0, -4.0, 1.0], [0.0, -2.0, 0.0, 1.0]])
 EXACT_ROOTS = [[0.0] * 4, [1.0] * 4, [-1.0, -1.0, 1.0, 1.0]]
-#: x^4 + 1e60 x^2 + 1: finite, but its Ferrari roots overflow (the
-#: resolvent's P^3 is about -4e358), while the circle-started iteration
-#: stays finite
-FERRARI_OVERFLOW = np.array([[0.0, 1e60, 0.0, 1.0]])
+#: x^4 + 1e60 x^3 + 1: finite, but its Ferrari roots overflow (the
+#: depressed quartic's q^2 is about 1.6e358), while the circle-started
+#: iteration stays finite
+FERRARI_OVERFLOW = np.array([[1e60, 0.0, 0.0, 1.0]])
 
 
 class TestNatureTables:
@@ -291,8 +311,6 @@ class TestClassifyBatch:
 
 class TestAberthBatch:
     def test_matches_scalar_oracle(self, rng):
-        from polyclass import all_roots
-
         n = 200
         trailing = rng.uniform(-10, 10, size=(n, 4))
         roots = aberth_roots_batch(trailing)
@@ -355,6 +373,77 @@ class TestAberthBatch:
         monkeypatch.setattr(batch, "MAX_ITERATIONS", 2)
         assert _same_bits(aberth_roots_batch(trailing), full)
 
+    @pytest.mark.parametrize("family", ["uniform", "biquadratic"])
+    def test_one_step_certifies_every_row(self, rng, monkeypatch, family):
+        if family == "uniform":
+            trailing = rng.uniform(-10, 10, size=(1 << 15, 4))
+        else:  # a = c = 0: the start solves a quadratic in x^2
+            trailing = rng.uniform(-10, 10, size=(1 << 12, 4)) * [0.0, 1.0, 0.0, 1.0]
+        full = aberth_roots_batch(trailing)
+        monkeypatch.setattr(batch, "MAX_ITERATIONS", 1)
+        assert _same_bits(aberth_roots_batch(trailing), full)
+
+    def test_integer_grid_steps(self, monkeypatch):
+        # many rows of the grid have multiple roots; the two equal roots of a
+        # start quadratic are parted off the real axis, not sent to the circle
+        trailing = _integer_grid().T
+        stepped = _count_step_rows(monkeypatch)
+        aberth_roots_batch(trailing)
+        assert sum(stepped) / len(trailing) <= 1.444  # the complex-Cardano start's figure
+
+    def test_biquadratic_with_huge_middle_coefficient(self):
+        # x^4 + 1e60 x^2 + 1 = (x^2 + 1e60) (x^2 + 1e-60), to rounding
+        trailing = np.array([[0.0, 1e60, 0.0, 1.0]])
+        exact = np.array([1e30j, -1e30j, 1e-30j, -1e-30j])
+        start = batch._start(trailing)[:, 0]
+        assert _matched_gap(start[None, :], exact[None, :])[0] == 0.0
+        assert batch._aberth_step(start[:, None].copy(), trailing.T)[0] < batch.CONVERGENCE_TOL
+        roots = aberth_roots_batch(trailing)[0]
+        assert np.isfinite(roots).all()
+        gap = np.min([np.abs(roots[list(perm)] - exact) / np.abs(exact)
+                      for perm in itertools.permutations(range(4))], axis=0)
+        assert (gap <= 4 * np.finfo(float).eps).all()
+
+    @pytest.mark.parametrize("family", ["uniform", "biquadratic", "planted", "double"])
+    def test_ferrari_roots_match_scalar_oracle(self, rng, family):
+        if family == "uniform":
+            trailing = rng.uniform(-10, 10, size=(100, 4))
+        elif family == "biquadratic":
+            trailing = rng.uniform(-10, 10, size=(100, 4)) * [0.0, 1.0, 0.0, 1.0]
+        elif family == "planted":  # four real roots, some close together
+            trailing = _monic_from_roots(np.sort(rng.uniform(-3.0, 3.0, size=(100, 4)), axis=1))
+        else:  # an exact double root: x (x - 1)^2 (x + 2) and the like
+            trailing = _monic_from_roots(np.array([
+                [0.0, 1.0, 1.0, -2.0], [-1.0, -1.0, 2.0, 3.0], [0.5, 0.5, -3.0, 4.0]]))
+        start = batch._ferrari_roots(trailing).T
+        ref = np.array([all_roots([1.0, *row]) for row in trailing])
+        scale = 1.0 + np.abs(ref).max(axis=1)
+        assert (_matched_gap(start, ref) <= 1e-8 * scale).all()
+
+    def test_real_starts_leave_the_real_axis(self, monkeypatch):
+        # two roots near +-sqrt(-b) and a close pair near 0: rounding puts
+        # the pair on the real axis, which an iteration started there never
+        # leaves, and the resolvent's top two roots nearly coincide, where
+        # an unguarded Newton step throws the start far off
+        trailing = np.array([
+            [2.3736938641609568e-07, -4.6228360510272806e+05,
+             -1.3598161967862541e-06, -2.3164676483738588e-07],
+            [-6.0990379921556487e+03, -8.3202881791757405e+07,
+             2.3054956720527273e-01, 2.0919141451181418e-04],
+            [-1.6662677484478015e+00, -1.0970243331073434e+05,
+             3.9118972489189180e-04, -2.8380502593249966e-08],
+            [2.5451151166050800e-02, -7.3961544512353549e+06,
+             -1.6342715181133332e+00, -1.7330521782173033e-05],
+            [-1.5335239918976786e-07, -5.6242704456974845e+06,
+             2.3704093132983376e-05, -4.7109596303138273e-07],
+        ])
+        assert (batch._start(trailing).imag != 0.0).all()
+        stepped = _count_step_rows(monkeypatch)
+        full = aberth_roots_batch(trailing)
+        assert len(stepped) < batch.MAX_ITERATIONS  # every row was certified
+        monkeypatch.setattr(batch, "MAX_ITERATIONS", 1)
+        assert _same_bits(aberth_roots_batch(trailing[2:3]), full[2:3])
+
     @pytest.mark.parametrize("k", [-40, 30, 40, 60])
     def test_four_real_roots_survive_weighted_scaling(self, rng, k):
         # the circle's radius grows like 2^4k while the roots grow like 2^k
@@ -414,6 +503,24 @@ class TestAberthBatch:
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
         if _sums_in_reproduced_order(rng):
             assert _same_bits(np.ascontiguousarray(got), ref)
+
+    def test_real_count_equals_reference(self, rng):
+        roots = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
+        roots.imag[:, 1:][rng.random((500, 3)) < 0.3] = 0.0
+        # |Im z| exactly at REAL_TOL (1 + max|z|), and one float above it
+        roots[:100, 0] = 3.0 + 4.0j
+        roots[:100, 3] = 1.0 + 1.0j
+        edge = REAL_TOL * (1.0 + 5.0)
+        roots[:100, 1] = 0.5 + 1j * edge
+        roots[:50, 2] = -0.25 - 1j * edge
+        roots[50:100, 2] = 1.0 + 1j * np.nextafter(edge, 1.0)
+        roots[100] = np.nan
+        roots[101, 3] = complex(0.0, np.nan)
+        got = real_root_count_batch(roots)
+        assert _same_bits(got, _reference_real_root_count(roots))
+        assert (got[:50] == 2).all() and (got[50:100] == 1).all() and got[100] == 0
+        empty = np.empty((0, 4), dtype=np.complex128)
+        assert _same_bits(real_root_count_batch(empty), _reference_real_root_count(empty))
 
     def test_min_gap_equals_tensor_reference(self, rng):
         roots = rng.standard_normal((500, 4)) + 1j * rng.standard_normal((500, 4))
