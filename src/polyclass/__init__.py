@@ -53,13 +53,11 @@ from .poly import (
     sturm_constants,
 )
 from .quartic import (
-    BoundaryAudit,
     ClassificationCase,
     DoublePairPosition,
     Nature,
     QuarticClassification,
     QuarticThresholds,
-    classification_boundary_audit,
     classify_quartic,
     delta3,
     delta3_expanded,

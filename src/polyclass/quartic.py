@@ -126,16 +126,6 @@ def c0_sign(comparisons) -> int:
     return next(c.sign for c in comparisons if c.name == "c_vs_C0")
 
 
-@dataclass(frozen=True)
-class BoundaryAudit:
-    comparisons: Tuple[Comparison, ...]
-    fragile: bool
-
-    @property
-    def flagged(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.comparisons if c.fragile)
-
-
 # --- the nine sign predicates: terms whose sum has the sign of one comparison ---------
 # ``q`` is a _Coeffs point: coefficients without the Quartic checks (floats, Fractions,
 # the ints of a lattice point, float64 arrays, or a prefix padded with 0).  Only + - *
@@ -685,12 +675,3 @@ _CASE_TO_NATURE = {
     ClassificationCase.XXXI: (Nature.TWO_EQUAL_REAL, None),
     ClassificationCase.XXXII: (Nature.TWO_DISTINCT_REAL, None),
 }
-
-
-def classification_boundary_audit(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> BoundaryAudit:
-    """Every threshold comparison of classify_quartic with its tolerance-unit margin."""
-    cls = classify_quartic(q, tol)
-    return BoundaryAudit(
-        comparisons=cls.comparisons,
-        fragile=any(c.fragile for c in cls.comparisons),
-    )

@@ -16,7 +16,6 @@ from polyclass import (
     Quartic,
     Tolerance,
     cayley_real_root_count,
-    classification_boundary_audit,
     classify_quartic,
     delta3,
     delta3_expanded,
@@ -367,32 +366,35 @@ class TestExactMode:
 
 
 class TestBoundaryAudit:
+    """The comparisons of classify_quartic, each with its tolerance-unit margin."""
+
+    @staticmethod
+    def flagged(comparisons):
+        return {c.name for c in comparisons if c.fragile}
+
     def test_exact_boundary_flags_all(self):
-        audit = classification_boundary_audit(Quartic(4.0, 6.0, 4.0, 1.0))
-        assert audit.fragile
-        assert len(audit.comparisons) == 3
-        assert set(audit.flagged) == {
+        comparisons = classify_quartic(Quartic(4.0, 6.0, 4.0, 1.0)).comparisons
+        assert len(comparisons) == 3
+        assert self.flagged(comparisons) == {
             "b_vs_3a2_over_8", "c_vs_C0", "d_vs_a4_over_256"}
 
     def test_interior_sample_has_no_flags(self):
-        audit = classification_boundary_audit(EX1)
-        assert not audit.fragile
+        assert not self.flagged(classify_quartic(EX1).comparisons)
 
     def test_near_d2_flags_the_discriminant_comparison(self):
         # at the default eps=1e-9 a 4-decimal rounding of d2 sits ~1e2
         # tolerance units away; the flag fires at the coarser eps=1e-6
-        audit = classification_boundary_audit(Quartic(3.0, 2.0, -1.0, -0.9288),
-                                              Tolerance(1e-6))
-        assert audit.fragile
-        assert "d_vs_droots_via_disc" in audit.flagged
-        strict = classification_boundary_audit(Quartic(3.0, 2.0, -1.0, -0.9288))
-        tightest = min(strict.comparisons, key=lambda c: abs(c.margin_units))
+        q = Quartic(3.0, 2.0, -1.0, -0.9288)
+        assert "d_vs_droots_via_disc" in self.flagged(
+            classify_quartic(q, Tolerance(1e-6)).comparisons)
+        strict = classify_quartic(q).comparisons
+        tightest = min(strict, key=lambda c: abs(c.margin_units))
         assert tightest.name == "d_vs_droots_via_disc"
 
     def test_tolerance_is_configurable(self):
         loose = Tolerance(1e-2)
-        audit = classification_boundary_audit(EX1, loose)
-        assert audit.fragile  # at eps=1e-2 everything is near a boundary
+        # at eps=1e-2 everything is near a boundary
+        assert self.flagged(classify_quartic(EX1, loose).comparisons)
 
 
 class TestTheoremThreeIff:

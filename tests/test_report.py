@@ -1,4 +1,10 @@
-"""Report.to_json writes the bytes of the json module's indent=2 encoder."""
+"""Report.to_json writes one line of JSON that re-indents to the old layout.
+
+The reference is the encoder Report.to_json first replaced: Fractions to
+"p/q", then ``json.dumps(..., indent=2)``.  Each report re-indented with
+``indent=2`` must give its bytes, so no information is lost and
+``python -m json.tool --indent 2`` restores the old layout.
+"""
 
 import json
 import math
@@ -26,6 +32,23 @@ def reference_json(report: Report) -> str:
     return json.dumps(_encode(report.data), indent=2)
 
 
+def _lists(obj):
+    """``obj`` as it reads back from JSON: tuples become lists."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_lists(v) for v in obj]
+    return obj
+
+
+def assert_matches_reference(report: Report, round_trips: bool = True):
+    text = report.to_json()
+    assert "\n" not in text
+    assert json.dumps(json.loads(text), indent=2) == reference_json(report)
+    if round_trips:
+        assert Report.from_json(text) == Report(data=_lists(report.data))
+
+
 COMMAND_LINES = [
     "classify --quartic 3 2 -1 -0.95",
     "classify --quartic -4 5 -1.75 -0.2",
@@ -50,7 +73,7 @@ COMMAND_LINES = [
 def test_command_reports_match_reference(line):
     command, opts = parse_argv(line.split())
     report, _ = COMMANDS[command](opts)
-    assert report.to_json() == reference_json(report)
+    assert_matches_reference(report)
 
 
 @pytest.mark.parametrize("kind, coeffs", [("cubic", ["0", "-1", "0"]),
@@ -59,12 +82,12 @@ def test_render_report_matches_reference(tmp_path, kind, coeffs):
     _, opts = parse_argv(["render", f"--{kind}", *coeffs,
                           "--out", str(tmp_path / "plot.svg")])
     report, _ = COMMANDS["render"](opts)
-    assert report.to_json() == reference_json(report)
+    assert_matches_reference(report)
 
 
 def test_error_report_matches_reference():
     report = error_report("classify", ValueError("coefficient 'a' must be finite, got nan"))
-    assert report.to_json() == reference_json(report)
+    assert_matches_reference(report)
 
 
 def test_edge_values_match_reference():
@@ -83,7 +106,8 @@ def test_edge_values_match_reference():
         "text": "café über 中 \U0001f600 \"quoted\" \\ \n\t\x01",
         "nested": [[], {}, [{"k": (Fraction(1, 2), 1e-300, -0.0, 10**20)}]],
     })
-    assert report.to_json() == reference_json(report)
+    # NaN != NaN, so the decoded data cannot compare equal to its source
+    assert_matches_reference(report, round_trips=False)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), 1j])
@@ -95,6 +119,23 @@ def test_other_types_raise_type_error(value):
         report.to_json()
 
 
-def test_non_string_keys_raise_type_error():
+def test_tuple_keys_raise_type_error():
     with pytest.raises(TypeError):
-        Report(data={1: "one"}).to_json()
+        Report(data={(1, 2): "pair"}).to_json()
+
+
+def test_int_keys_are_written_as_strings():
+    assert Report(data={1: "one"}).to_json() == json.dumps({1: "one"}) == '{"1": "one"}'
+
+
+@pytest.mark.parametrize("text", ["1/2\n", "-3/0", "2/4", "01/2", "-0/1"])
+def test_non_canonical_fraction_text_stays_a_string(text):
+    report = Report(data={"note": text})
+    assert Report.from_json(report.to_json()) == report
+
+
+@pytest.mark.parametrize("text, value", [("-7/3", Fraction(-7, 3)), ("0/1", Fraction(0)),
+                                         ("3/1", Fraction(3))])
+def test_canonical_fraction_text_decodes(text, value):
+    data = Report.from_json(json.dumps({"x": text})).data
+    assert data == {"x": value} and type(data["x"]) is Fraction
