@@ -13,15 +13,12 @@ from .cubic import (
     TriangleData,
     classify_cubic,
     cubic_isolation_intervals,
-    cubic_thresholds,
     rotation_angle,
     triangle_data,
     viete_roots,
 )
 from .errors import (
-    AmbiguousSign,
     DegenerateAtBoundary,
-    ImpossibleSignPattern,
     NoConvergence,
     NotFourReal,
     NoTetrahedron,
@@ -46,11 +43,7 @@ from .poly import (
     Quartic,
     Quintic,
     RootSet,
-    SturmConstants,
-    cayley_real_root_count,
-    discriminant_cubic,
     discriminant_quartic,
-    sturm_constants,
 )
 from .quartic import (
     ClassificationCase,

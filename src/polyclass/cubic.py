@@ -120,15 +120,6 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
     return CubicClassification(kind, thresholds, triangle, tuple(comparisons))
 
 
-def cubic_thresholds(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicThresholds:
-    """The two free-term values where the discriminant vanishes (c1 > c2)."""
-    cls = classify_cubic(cu, tol)
-    if cls.thresholds is None:
-        s2 = cls.comparisons[0].value
-        raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0: no two distinct critical points")
-    return cls.thresholds
-
-
 def _acos_argument(a: float, b: float, c: float, s2: float,
                    tol: Tolerance) -> Tuple[float, bool]:
     """The arccos argument w of the trigonometric roots, and whether |w| > 1.

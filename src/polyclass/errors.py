@@ -17,14 +17,6 @@ class OutOfRange(PolyclassError):
     """An arccos argument left [-1, 1] by more than the clamping tolerance."""
 
 
-class AmbiguousSign(PolyclassError):
-    """A sign test landed within tolerance of zero where a strict sign is required."""
-
-
-class ImpossibleSignPattern(PolyclassError):
-    """A Sturmian sign pattern that cannot occur for a real quartic was observed."""
-
-
 class NoConvergence(PolyclassError):
     """The simultaneous root iteration failed to converge.
 

@@ -1,4 +1,4 @@
-"""Core polynomial types, closed-form discriminants and the Sturmian cross-check.
+"""Core polynomial types and closed-form discriminants.
 
 Monic polynomials are stored by their trailing coefficients, in one
 arithmetic per polynomial: all ``fractions.Fraction`` when every coefficient
@@ -10,14 +10,13 @@ written so that exact inputs stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import attrgetter
 from typing import Sequence, Tuple
 
-from .errors import AmbiguousSign, ImpossibleSignPattern
-from .numeric import DEFAULT_TOL, Number, Tolerance
+from .numeric import Number
 
 _FLOAT, _FRACTION, _FRACTION_INT = {float}, {Fraction}, {Fraction, int}
 
@@ -203,6 +202,7 @@ def root_set_from_values(values: Sequence[float], residuals: Sequence[float],
 # --- closed-form discriminants -------------------------------------------------
 
 def cubic_discriminant_terms(cu: Cubic) -> Tuple:
+    """Monomials of -27c^2 + (18ab - 4a^3)c + a^2 b^2 - 4b^3, positive iff three distinct real roots."""
     a, b, c = cu.a, cu.b, cu.c
     return (
         -27 * c * c,
@@ -211,11 +211,6 @@ def cubic_discriminant_terms(cu: Cubic) -> Tuple:
         a * a * b * b,
         -4 * b ** 3,
     )
-
-
-def discriminant_cubic(cu: Cubic) -> Number:
-    """delta_3 = -27c^2 + (18ab - 4a^3)c + a^2 b^2 - 4b^3; positive iff three distinct real roots."""
-    return sum(cubic_discriminant_terms(cu))
 
 
 def _powers(a, b, c):
@@ -255,11 +250,6 @@ def discriminant_quartic(q: Quartic) -> Number:
     return sum(quartic_discriminant_terms(q))
 
 
-def quartic_disc_scale(q: Quartic) -> float:
-    """Largest monomial magnitude of the discriminant (the tolerance scale)."""
-    return max(abs(float(t)) for t in quartic_discriminant_terms(q))
-
-
 def quartic_disc_d_derivative_terms(q: Quartic) -> Tuple:
     """Terms of d(Delta)/dd, the discriminant derivative along the free term."""
     a, b, c, d = q.a, q.b, q.c, q.d
@@ -291,82 +281,3 @@ def quartic_disc_d_second_terms(q: Quartic) -> Tuple:
         -256 * b2,
     )
 
-
-# --- Sturmian constants ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class SturmConstants:
-    """Leading Sturm-function coefficients of a quartic, modulo positive factors.
-
-    s0 and s1 are identically 1; s5 equals the quartic discriminant.
-    ``scales`` holds the tolerance scale of each of s3, s4, s5 when the
-    constants were produced by :func:`sturm_constants`.
-    """
-
-    s0: Number
-    s1: Number
-    s3: Number
-    s4: Number
-    s5: Number
-    scales: Tuple[float, float, float] = field(default=(1.0, 1.0, 1.0))
-
-
-def sturm_constants(q: Quartic) -> SturmConstants:
-    a, b, c, d = q.a, q.b, q.c, q.d
-    s3_terms = (3 * a * a, -8 * b)
-    s4_terms = (
-        -3 * a ** 3 * c,
-        a * a * b * b,
-        -6 * a * a * d,
-        14 * a * b * c,
-        -4 * b ** 3,
-        16 * b * d,
-        -18 * c * c,
-    )
-    s5_terms = quartic_discriminant_terms(q)
-    scale = lambda terms: max((abs(float(t)) for t in terms), default=0.0)
-    return SturmConstants(
-        s0=1,
-        s1=1,
-        s3=sum(s3_terms),
-        s4=sum(s4_terms),
-        s5=sum(s5_terms),
-        scales=(scale(s3_terms), scale(s4_terms), scale(s5_terms)),
-    )
-
-
-def _sign_variations(signs: Sequence[int]) -> int:
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(nonzero, nonzero[1:]) if x * y < 0)
-
-
-def cayley_real_root_count(sc: SturmConstants, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Real-root count of the quartic from the Sturmian sign sequences at +/- infinity.
-
-    A nonzero discriminant (s5) is required; repeated-root cases belong to
-    the full classifier and raise AmbiguousSign.  Zeros of s3 or s4 shorten
-    the Sturm chain, which caps the variation excess below four, so they
-    resolve to zero real roots when s5 > 0 and change nothing when s5 < 0.
-    The combination s3<0, s4>0, s5<0 cannot occur for a real quartic and
-    raises ImpossibleSignPattern.
-    """
-    s3, s4, s5 = (
-        tol.sign(value, scale)
-        for value, scale in zip((sc.s3, sc.s4, sc.s5), sc.scales)
-    )
-    if s5 == 0:
-        raise AmbiguousSign(
-            "discriminant within tolerance of zero; use the full classifier"
-        )
-    if s3 < 0 and s4 > 0 and s5 < 0:
-        raise ImpossibleSignPattern(
-            "sign pattern s3<0, s4>0, s5<0 cannot occur for a real quartic"
-        )
-    if s5 < 0:
-        return 2
-    if s3 > 0 and s4 > 0:
-        at_plus = (1, 1, s3, s4, s5)
-        at_minus = (1, -1, s3, -s4, s5)
-        assert _sign_variations(at_minus) - _sign_variations(at_plus) == 4
-        return 4
-    return 0

@@ -7,7 +7,9 @@ of JSON, as ``json.dumps`` writes it: keys in insertion order, ASCII
 escapes, NaN/Infinity spelled as the json module spells them.  Decoding
 inverts both number kinds losslessly, so Report -> JSON -> Report is the
 identity for data with string keys, tuples read back as lists, and no
-string that is itself the "p/q" text of a Fraction.
+string that is itself the "p/q" text of a Fraction.  The one exception is
+the value under the key "out", render's output path: it is free text, so
+it stays a string even when it reads "1/2".
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _decode(obj):
         value = Fraction(obj)
         return value if _fraction_text(value) == obj else obj
     if isinstance(obj, dict):
-        return {k: _decode(v) for k, v in obj.items()}
+        return {k: v if k == "out" else _decode(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_decode(v) for v in obj]
     return obj

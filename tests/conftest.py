@@ -97,6 +97,16 @@ def sturm_chain(coeffs: Sequence[Fraction]) -> List[List[Fraction]]:
     return chain
 
 
+def distinct_real_root_count(coeffs: Sequence[Fraction]) -> int:
+    """Distinct real roots of a polynomial with Fraction coefficients, descending:
+    the sign changes of its Sturm chain at -inf minus those at +inf."""
+    chain = sturm_chain(coeffs)
+    changes = lambda signs: sum(x != y for x, y in zip(signs, signs[1:]))
+    at_plus = [p[0] > 0 for p in chain]
+    at_minus = [(p[0] > 0) != (len(p) % 2 == 0) for p in chain]
+    return changes(at_minus) - changes(at_plus)
+
+
 @pytest.fixture
 def rng():
     import numpy as np

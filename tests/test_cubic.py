@@ -16,7 +16,6 @@ from polyclass import (
     Quartic,
     classify_cubic,
     cubic_isolation_intervals,
-    cubic_thresholds,
     rotation_angle,
     solve,
     triangle_data,
@@ -40,20 +39,19 @@ root_value = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinit
 
 class TestThresholds:
     def test_symmetric_cubic(self):
-        thr = cubic_thresholds(Cubic(0.0, -1.0, 0.0))
+        thr = classify_cubic(Cubic(0.0, -1.0, 0.0)).thresholds
         assert thr.c0 == 0.0
         assert thr.c1 == pytest.approx(0.3849001794597505, rel=1e-12)
         assert thr.c2 == pytest.approx(-0.3849001794597505, rel=1e-12)
 
     def test_rejects_without_triangle(self):
-        with pytest.raises(NoTriangle):
-            cubic_thresholds(Cubic(1.0, 1.0, 0.0))
+        assert classify_cubic(Cubic(1.0, 1.0, 0.0)).thresholds is None
 
     def test_band_identities(self, rng):
         for _ in range(100):
             a = rng.uniform(-10, 10)
             b = a * a / 3.0 - rng.uniform(0.01, 10.0)
-            thr = cubic_thresholds(Cubic(a, b, 0.0))
+            thr = classify_cubic(Cubic(a, b, 0.0)).thresholds
             assert thr.c1 + thr.c2 == pytest.approx(2.0 * thr.c0, rel=1e-9, abs=1e-9)
             assert thr.c1 - thr.c2 == pytest.approx(
                 4.0 / 27.0 * math.sqrt((a * a - 3 * b) ** 3), rel=1e-12)
@@ -61,7 +59,7 @@ class TestThresholds:
     def test_scaled_derivative_reproduces_quartic_band(self):
         # monic derivative cubic of x^4+3x^3+2x^2+cx: thresholds on c/4 scale
         # back to the quartic's band by a factor 4
-        thr = cubic_thresholds(Cubic(2.25, 1.0, 0.0))
+        thr = classify_cubic(Cubic(2.25, 1.0, 0.0)).thresholds
         assert 4.0 * thr.c0 == pytest.approx(-0.3750, abs=5e-5)
         assert 4.0 * thr.c1 == pytest.approx(0.5026, abs=5e-5)
         assert 4.0 * thr.c2 == pytest.approx(-1.2526, abs=5e-5)
@@ -137,7 +135,6 @@ class TestComparisons:
                    Cubic(0.0, -1.0, C1_SYMMETRIC)):
             cls = classify_cubic(cu)
             assert triangle_data(cu) == cls.triangle
-            assert cubic_thresholds(cu) == cls.thresholds
             assert cls.triangle.theta == rotation_angle(cu)
 
     def test_comparison_is_shared_with_the_quartic(self):
@@ -276,7 +273,7 @@ class TestVieteRoots:
 
 class TestRotationAngle:
     def test_band_endpoints_and_center(self):
-        thr = cubic_thresholds(Cubic(0.0, -1.0, 0.0))
+        thr = classify_cubic(Cubic(0.0, -1.0, 0.0)).thresholds
         assert rotation_angle(Cubic(0.0, -1.0, thr.c2)) == pytest.approx(0.0, abs=1e-7)
         assert rotation_angle(Cubic(0.0, -1.0, 0.0)) == pytest.approx(math.pi / 6, rel=1e-12)
         assert rotation_angle(Cubic(0.0, -1.0, thr.c1)) == pytest.approx(math.pi / 3, abs=1e-7)
@@ -291,7 +288,7 @@ class TestRotationAngle:
         for _ in range(50):
             a = rng.uniform(-5, 5)
             b = a * a / 3.0 - rng.uniform(0.1, 5.0)
-            thr = cubic_thresholds(Cubic(a, b, 0.0))
+            thr = classify_cubic(Cubic(a, b, 0.0)).thresholds
             cs = np.linspace(thr.c2, thr.c1, 30)
             angles = [rotation_angle(Cubic(a, b, c)) for c in cs]
             assert all(x <= y + 1e-12 for x, y in zip(angles, angles[1:]))
@@ -382,7 +379,7 @@ class TestIsolation:
             assert lo - 1e-9 <= value <= hi + 1e-9
 
     def test_branch_selection(self):
-        thr = cubic_thresholds(Cubic(0.0, -1.0, 0.0))
+        thr = classify_cubic(Cubic(0.0, -1.0, 0.0)).thresholds
         low = cubic_isolation_intervals(Cubic(0.0, -1.0, 0.6 * thr.c2))
         high = cubic_isolation_intervals(Cubic(0.0, -1.0, 0.6 * thr.c1))
         assert low.branch == "low_c" and high.branch == "high_c"
@@ -409,7 +406,7 @@ class TestSpanExtremesOnlyAtBandLandmarks:
         for _ in range(100):
             a = rng.uniform(-5, 5)
             b = a * a / 3.0 - rng.uniform(0.5, 5.0)
-            thr = cubic_thresholds(Cubic(a, b, 0.0))
+            thr = classify_cubic(Cubic(a, b, 0.0)).thresholds
             t = rng.uniform(0.05, 0.45)
             if rng.uniform() < 0.5:
                 c = thr.c2 + t * (thr.c0 - thr.c2)

@@ -1,6 +1,5 @@
-"""Core types, discriminants and the Sturmian cross-check."""
+"""Core types and discriminants."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,22 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyclass import (
-    AmbiguousSign,
     Cubic,
-    ImpossibleSignPattern,
     Quartic,
     Quintic,
     RootSet,
     brute_discriminant,
-    cayley_real_root_count,
-    discriminant_cubic,
     discriminant_quartic,
-    solve,
-    sturm_constants,
 )
-from polyclass.poly import SturmConstants, root_set_from_values
-
-from conftest import sturm_chain
+from polyclass.poly import (
+    cubic_discriminant_terms,
+    quartic_discriminant_terms,
+    root_set_from_values,
+)
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -99,23 +94,23 @@ class TestRootSet:
 
 class TestCubicDiscriminant:
     def test_three_simple_roots(self):
-        assert discriminant_cubic(Cubic(0.0, -1.0, 0.0)) == 4.0
+        assert sum(cubic_discriminant_terms(Cubic(0.0, -1.0, 0.0))) == 4.0
 
     def test_triple_root(self):
-        assert discriminant_cubic(Cubic(0.0, 0.0, 0.0)) == 0.0
+        assert sum(cubic_discriminant_terms(Cubic(0.0, 0.0, 0.0))) == 0.0
 
     def test_matches_root_pair_product(self):
         # oracle value: product of squared root differences of x^3+3x^2+2x-1
         cu = Cubic(3.0, 2.0, -1.0)
-        assert discriminant_cubic(cu) == pytest.approx(-23.0, rel=1e-12)
-        assert discriminant_cubic(cu) == pytest.approx(
+        assert sum(cubic_discriminant_terms(cu)) == pytest.approx(-23.0, rel=1e-12)
+        assert sum(cubic_discriminant_terms(cu)) == pytest.approx(
             brute_discriminant(cu), rel=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(coeff, coeff, coeff)
     def test_brute_force_identity(self, a, b, c):
         cu = Cubic(a, b, c)
-        closed = discriminant_cubic(cu)
+        closed = sum(cubic_discriminant_terms(cu))
         brute = brute_discriminant(cu)
         assert closed == pytest.approx(brute, rel=1e-8, abs=1e-7)
 
@@ -140,102 +135,6 @@ class TestQuarticDiscriminant:
         assert value == Fraction(569, 2000)
 
 
-class TestSturmConstants:
-    def test_zero_quartic(self):
-        sc = sturm_constants(Quartic(0.0, 0.0, 0.0, 0.0))
-        assert (sc.s0, sc.s1, sc.s3, sc.s4, sc.s5) == (1, 1, 0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("coeffs,s3", [
-        ((3, 2, -1, Fraction(-19, 20)), 11),
-        ((-4, 5, Fraction(-7, 4), Fraction(-1, 5)), 8),
-    ])
-    def test_against_sturm_chain(self, coeffs, s3):
-        q = Quartic(*[Fraction(v) for v in coeffs])
-        sc = sturm_constants(q)
-        assert sc.s3 == s3
-        chain = sturm_chain([Fraction(1), q.a, q.b, q.c, q.d])
-        assert len(chain) == 5
-        leads = [p[0] for p in chain]
-        # the constants are the chain's leading coefficients modulo positive factors
-        for lead, const in zip(leads, (sc.s0, sc.s1, sc.s3, sc.s4, sc.s5)):
-            assert lead * const > 0 or lead == const == 0
-
-    def test_s5_is_the_discriminant_exactly(self):
-        q = Quartic(1.25, -3.5, 0.125, 9.0)
-        assert sturm_constants(q).s5 == discriminant_quartic(q)
-
-    @settings(max_examples=100, deadline=None)
-    @given(coeff, coeff, coeff, coeff)
-    def test_s5_identity_random(self, a, b, c, d):
-        q = Quartic(a, b, c, d)
-        assert sturm_constants(q).s5 == discriminant_quartic(q)
-
-
-class TestCayley:
-    def test_worked_example_has_four(self):
-        assert cayley_real_root_count(
-            sturm_constants(Quartic(3.0, 2.0, -1.0, -0.95))) == 4
-
-    def test_no_real_roots(self):
-        assert cayley_real_root_count(
-            sturm_constants(Quartic(0.0, 0.0, 0.0, 1.0))) == 0
-
-    def test_two_real_roots(self):
-        assert cayley_real_root_count(
-            sturm_constants(Quartic(0.0, 0.0, 0.0, -1.0))) == 2
-
-    @pytest.mark.parametrize("signs,count", [
-        ((1, 1, 1), 4),
-        ((-1, 1, 1), 0),
-        ((1, -1, 1), 0),
-        ((-1, -1, 1), 0),
-        ((1, 1, -1), 2),
-        ((1, -1, -1), 2),
-        ((-1, -1, -1), 2),
-    ])
-    def test_sign_table(self, signs, count):
-        sc = SturmConstants(1, 1, *signs)
-        assert cayley_real_root_count(sc) == count
-
-    @pytest.mark.parametrize("signs,count", [
-        ((0, 1, 1), 0),  # degenerate chain cannot reach four variations
-        ((1, 0, 1), 0),
-        ((0, 0, 1), 0),
-        ((0, 1, -1), 2),
-        ((0, 0, -1), 2),
-    ])
-    def test_degenerate_chain_rows(self, signs, count):
-        assert cayley_real_root_count(SturmConstants(1, 1, *signs)) == count
-
-    def test_impossible_pattern(self):
-        with pytest.raises(ImpossibleSignPattern):
-            cayley_real_root_count(SturmConstants(1, 1, -1, 1, -1))
-
-    def test_ambiguous_on_zero_discriminant(self):
-        with pytest.raises(AmbiguousSign):
-            cayley_real_root_count(sturm_constants(Quartic(0.0, 0.0, 0.0, 0.0)))
-        with pytest.raises(AmbiguousSign):
-            cayley_real_root_count(sturm_constants(Quartic(0.0, -2.0, 0.0, 1.0)))
-
-    @settings(max_examples=150, deadline=None)
-    @given(coeff, coeff, coeff, coeff)
-    def test_agrees_with_oracle_when_unambiguous(self, a, b, c, d):
-        from polyclass import all_roots
-
-        q = Quartic(a, b, c, d)
-        try:
-            count = cayley_real_root_count(sturm_constants(q))
-        except AmbiguousSign:
-            return
-        roots = all_roots(q)
-        scale = 1.0 + max(abs(z) for z in roots)
-        gaps = [abs(x - y) for i, x in enumerate(roots) for y in roots[i + 1:]]
-        near_axis = [abs(z.imag) for z in roots if z.imag != 0]
-        if min(gaps) < 1e-5 * scale or (near_axis and min(near_axis) < 1e-5 * scale):
-            return  # root structure below the oracle's resolution
-        assert count == solve(q).real_count
-
-
 class TestDiscriminantSignAgreement:
     def test_sign_matches_oracle_structure_off_boundary(self, rng):
         # sign(disc) vs real-root count: >0 means 0 or 4, <0 means exactly 2,
@@ -244,7 +143,6 @@ class TestDiscriminantSignAgreement:
             aberth_roots_batch,
             real_root_count_batch,
         )
-        from polyclass.poly import quartic_disc_scale
         import numpy as np
 
         n = 100_000
@@ -255,7 +153,8 @@ class TestDiscriminantSignAgreement:
         for row, count in zip(abcd, counts):
             q = Quartic(*row)
             disc = discriminant_quartic(q)
-            if abs(disc) <= 1e-6 * quartic_disc_scale(q):
+            scale = max(abs(float(t)) for t in quartic_discriminant_terms(q))
+            if abs(disc) <= 1e-6 * scale:
                 continue
             checked += 1
             if disc > 0:

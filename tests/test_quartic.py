@@ -1,6 +1,7 @@
 """The 32-case classification, thresholds, discriminant identities, audit."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,20 +16,24 @@ from polyclass import (
     Nature,
     Quartic,
     Tolerance,
-    cayley_real_root_count,
     classify_quartic,
     delta3,
     delta3_expanded,
-    discriminant_cubic,
     discriminant_quartic,
     quartic_thresholds,
     solve,
-    sturm_constants,
 )
 from polyclass import quartic as quartic_mod
+from polyclass.poly import cubic_discriminant_terms
 from polyclass.quartic import NATURE_STRUCTURE
 
-from conftest import assert_roots_agree, eval_scale, quartic_coeffs_from_roots, root_gap_bound
+from conftest import (
+    assert_roots_agree,
+    distinct_real_root_count,
+    eval_scale,
+    quartic_coeffs_from_roots,
+    root_gap_bound,
+)
 
 EX1 = Quartic(3.0, 2.0, -1.0, -0.95)
 EX2 = Quartic(-4.0, 5.0, -1.75, -0.2)
@@ -174,7 +179,7 @@ class TestDelta3:
 
         q = Quartic(Fraction(3), Fraction(2), Fraction(-1), Fraction(0))
         A, B, C = _d_cubic(q.a, q.b, q.c)
-        assert delta3(q) == 256 ** 4 * discriminant_cubic(Cubic(A, B, C))
+        assert delta3(q) == 256 ** 4 * sum(cubic_discriminant_terms(Cubic(A, B, C)))
 
 
 def _case(name: str) -> ClassificationCase:
@@ -422,21 +427,50 @@ class TestTheoremThreeIff:
         assert found > 20  # the sweep actually exercised the property
 
 
-class TestCayleyCrossCheck:
-    def test_nature_count_matches_cayley(self, rng):
-        from polyclass import AmbiguousSign
+def _planted_quartic(rng):
+    """A rational quartic with planted real roots k/1, k/2 or k/3 (k in -4..4),
+    some of them repeated, times 0 to 2 quadratic factors with no real roots."""
+    small = lambda: Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+    quadratics = int(rng.integers(0, 3))
+    roots = []
+    for _ in range(4 - 2 * quadratics):
+        repeat = roots and rng.random() < 0.5
+        roots.append(roots[int(rng.integers(len(roots)))] if repeat else small())
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = np.polymul(coeffs, [1, -r])
+    for _ in range(quadratics):
+        p = small()
+        coeffs = np.polymul(coeffs, [1, p, p * p / 4 + abs(small()) + Fraction(1, 3)])
+    return Quartic(*coeffs[1:]), roots
 
+
+class TestSturmCrossCheck:
+    def test_nature_count_matches_sturm(self, rng):
+        checked = 0
         for _ in range(500):
             a, b, c, d = rng.uniform(-10, 10, size=4)
             q = Quartic(a, b, c, d)
             cls = classify_quartic(q)
             if any(c.fragile for c in cls.comparisons):
                 continue
-            try:
-                count = cayley_real_root_count(sturm_constants(q))
-            except AmbiguousSign:
-                continue
-            assert count == NATURE_STRUCTURE[cls.nature][0]
+            checked += 1
+            count = distinct_real_root_count([1, *map(Fraction, (a, b, c, d))])
+            assert count == len(NATURE_STRUCTURE[cls.nature][1])
+        assert checked > 450
+
+    def test_exact_count_on_planted_roots(self, rng):
+        # repeated roots and complex pairs included: the exact chain counts
+        # distinct real roots also where the discriminant vanishes
+        natures = set()
+        for _ in range(3000):
+            q, roots = _planted_quartic(rng)
+            cls = classify_quartic(q)
+            natures.add(cls.nature)
+            planted = tuple(sorted(Counter(roots).values()))
+            assert NATURE_STRUCTURE[cls.nature][1] == planted, q
+            assert distinct_real_root_count([1, q.a, q.b, q.c, q.d]) == len(planted), q
+        assert natures == set(Nature)
 
 
 class TestDegenerateThresholds:

@@ -139,3 +139,13 @@ def test_non_canonical_fraction_text_stays_a_string(text):
 def test_canonical_fraction_text_decodes(text, value):
     data = Report.from_json(json.dumps({"x": text})).data
     assert data == {"x": value} and type(data["x"]) is Fraction
+
+
+def test_render_out_path_stays_a_string(tmp_path, monkeypatch):
+    # the path 1/2 is also the text of Fraction(1, 2)
+    (tmp_path / "1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    _, opts = parse_argv(["render", "--cubic", "0", "-1", "0", "--out", "1/2"])
+    report, _ = COMMANDS["render"](opts)
+    out = Report.from_json(report.to_json()).data["out"]
+    assert out == "1/2" and type(out) is str
