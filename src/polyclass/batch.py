@@ -1,9 +1,11 @@
 """Vectorized quartic classification and root finding.
 
-``classify_case_batch`` evaluates the nine sign predicates of
+``classify_case_batch`` evaluates the sign predicates of
 :mod:`polyclass.quartic` on float64 arrays, through the very term functions
 the scalar classifier sums, and looks each sample's sign vector up in a
-table built by walking the scalar decision tree once.  Case, nature and
+table built by walking the scalar decision tree once.  Each predicate runs
+only on the rows whose path so far can consult it, so a row pays for the
+sign tests of its own path, not for all nine.  Case, nature and
 minimum margin therefore equal the scalar verdict bit for bit.  The Aberth
 helpers mirror :mod:`polyclass.oracle` for million-sample agreement sweeps.
 ``aberth_roots_batch`` iterates only on the polynomials that have not
@@ -81,11 +83,15 @@ def _leaves():
 
 
 @lru_cache(maxsize=None)
-def _tables() -> Tuple[np.ndarray, np.ndarray]:
-    """Case index and consulted-predicate bitmask for each of the 3^9 sign keys.
+def _tables() -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Case index and consulted-predicate bitmask for each of the 3^9 sign keys,
+    and for each predicate p the prefix table of the keys' first p digits.
 
     Digit p of a key (weight 3^(8-p)) is 1 + the sign of predicate p; bit p
-    of the mask is set when the sample's path consults predicate p.
+    of the mask is set when the sample's path consults predicate p.  Entry k
+    of prefix table p is True when some key whose first p digits form k
+    consults predicate p; the table is read off the masks, and like them is
+    built on first use, not at import.
     """
     case_of = np.full((3,) * _N, -1, dtype=np.int8)
     consulted = np.zeros((3,) * _N, dtype=np.int16)
@@ -93,7 +99,9 @@ def _tables() -> Tuple[np.ndarray, np.ndarray]:
         at = tuple(fixed[p] + 1 if p in fixed else slice(None) for p in range(_N))
         case_of[at] = CASE_BY_INDEX.index(case)
         consulted[at] = sum(1 << p for p in fixed)
-    return case_of.ravel(), consulted.ravel()
+    consulted = consulted.ravel()
+    needed = tuple(((consulted.reshape(3 ** p, -1) >> p) & 1).any(axis=1) for p in range(_N))
+    return case_of.ravel(), consulted, needed
 
 
 def _sign_digit_and_margin(terms):
@@ -119,21 +127,44 @@ def _sign_digit_and_margin(terms):
 
 
 def _classify_block(q: _Coeffs) -> Tuple[np.ndarray, np.ndarray]:
-    """Case index and minimum margin of each sample of the 1-D arrays q."""
-    case_of, consulted = _tables()
+    """Case index and minimum margin of each sample of the 1-D arrays q.
+
+    The predicates run in key order, each only on the rows whose key so far
+    leads to a path that can consult it: on the whole block when every row
+    can, on a gathered copy of those rows when some can, not at all when
+    none can.  A row that skips a predicate takes digit 0 for it, which its
+    path never reads, so case and margin are those of evaluating all nine.
+    The margin still reads the consulted mask: on the c = C0 path the cascade
+    asks d_vs_d_dagger before d_vs_d_tilde, which comes first in key order,
+    so a row can run d_vs_d_tilde that its path then does not ask.
+    """
+    case_of, consulted, needed = _tables()
+    key = np.zeros(q.a.shape, dtype=np.intp)
+    evaluated = []  # (predicate index, rows it ran on, their margins)
+    rows = slice(None)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        key = np.zeros(q.a.shape, dtype=np.intp)
-        margins = []
-        for fn in _PREDICATES:  # q builds the d-cubic once, for the first predicate on it
-            digit, margin = _sign_digit_and_margin(fn(q))
+        for p, fn in enumerate(_PREDICATES):
+            need = needed[p][key]
             key *= 3
-            key += digit
-            margins.append(margin)
+            count = np.count_nonzero(need)
+            # q, or a gathered copy, builds the d-cubic once for both predicates on it
+            if count == len(key):
+                rows, at = slice(None), q
+            elif count:
+                found = np.flatnonzero(need)
+                if not np.array_equal(found, rows):  # slope and curvature share one copy
+                    rows, at = found, _Coeffs(*(x[found] for x in q))
+            else:
+                continue
+            digit, margin = _sign_digit_and_margin(fn(at))
+            key[rows] += digit
+            evaluated.append((p, rows, margin))
     mask = consulted[key]
     min_margin = np.full(key.shape, np.inf)
-    for p, margin in enumerate(margins):
-        np.minimum(min_margin, margin, out=min_margin,
-                   where=(mask & (1 << p)) != 0)
+    for p, rows, margin in evaluated:
+        least = min_margin[rows]
+        np.minimum(least, margin, out=least, where=(mask[rows] & (1 << p)) != 0)
+        min_margin[rows] = least
     return case_of[key], min_margin
 
 

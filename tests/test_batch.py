@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyclass import (
+    ClassificationCase,
     Nature,
     NatureTarget,
     Quartic,
@@ -37,7 +38,7 @@ from polyclass.batch import (
     min_root_gap_batch,
     real_root_count_batch,
 )
-from polyclass.quartic import _CASE_TO_NATURE, _cascade
+from polyclass.quartic import _CASE_TO_NATURE, _Coeffs, _cascade
 
 
 def _scalar(a, b, c, d):
@@ -120,6 +121,38 @@ def _reference_real_root_count(roots):
     """The earlier one-line real-root count, kept as a reference."""
     scale = 1.0 + np.abs(roots).max(axis=1)
     return (np.abs(roots.imag) <= REAL_TOL * scale[:, None]).sum(axis=1).astype(np.int8)
+
+
+def _reference_keys(q):
+    """Sign key and per-predicate margins of every row, all nine predicates
+    evaluated on every row."""
+    key = np.zeros(q.a.shape, dtype=np.intp)
+    margins = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for fn in batch._PREDICATES:
+            digit, margin = batch._sign_digit_and_margin(fn(q))
+            key *= 3
+            key += digit
+            margins.append(margin)
+    return key, margins
+
+
+def _reference_classify_block(q):
+    """The earlier block classifier, which evaluates all nine predicates on
+    every row, kept as a reference."""
+    case_of, consulted, _ = _tables()
+    key, margins = _reference_keys(q)
+    mask = consulted[key]
+    min_margin = np.full(key.shape, np.inf)
+    for p, margin in enumerate(margins):
+        np.minimum(min_margin, margin, out=min_margin,
+                   where=(mask & (1 << p)) != 0)
+    return case_of[key], min_margin
+
+
+def _consulted(abcd):
+    """Consulted-predicate bitmask of each column of abcd."""
+    return _tables()[1][_reference_keys(_Coeffs(*abcd))[0]]
 
 
 def _repeated(roots):
@@ -232,8 +265,10 @@ class TestClassifyBatch:
         assert classify_case_batch(-abcd[0], abcd[1], -abcd[2], abcd[3])[0] == batch_base[0]
 
     def test_table_is_the_scalar_cascade(self):
-        case_of, consulted = _tables()
+        case_of, consulted, needed = _tables()
         assert set(case_of.tolist()) == set(range(len(CASE_BY_INDEX)))
+        # some key with these first p digits consults predicate p
+        asked_after = [np.zeros(3 ** p, dtype=bool) for p in range(9)]
         for key in range(3 ** 9):
             signs = [(key // 3 ** (8 - p)) % 3 - 1 for p in range(9)]
             asked = set()
@@ -244,6 +279,13 @@ class TestClassifyBatch:
 
             assert CASE_BY_INDEX[case_of[key]] is _cascade(sign)
             assert consulted[key] == sum(1 << p for p in asked)
+            for p in asked:
+                asked_after[p][key // 3 ** (9 - p)] = True
+        assert len(needed) == 9
+        for p in range(9):
+            assert needed[p].dtype == bool
+            assert needed[p].tolist() == asked_after[p].tolist(), p
+        assert needed[0].all() and needed[1].all()  # every path asks b and c0
         for index, case in enumerate(CASE_BY_INDEX):
             assert NATURE_BY_CODE[NATURE_CODE_BY_CASE[index]] is _CASE_TO_NATURE[case][0]
 
@@ -307,6 +349,118 @@ class TestClassifyBatch:
         _, margins = classify_nature_batch(a, b, c, d)
         assert margins[0] > 1e4
         assert margins[1] < 10.0
+
+
+def _uniform(n):
+    return np.random.default_rng(11).uniform(-10, 10, size=(4, n))
+
+
+def _non_finite_rows():
+    """Uniform rows with NaN, inf or -inf in one coefficient or in all four."""
+    abcd = _uniform(200)
+    for i, bad in enumerate([np.nan, np.inf, -np.inf] * 10):
+        abcd[i % 4, 6 * i] = bad
+        abcd[:, 6 * i + 3] = bad
+    return abcd
+
+
+#: (name, coefficient arguments of classify_case_batch)
+PATH_INPUTS = (
+    [("uniform", lambda: tuple(_uniform(1 << 15))),
+     ("integer_grid", lambda: tuple(_integer_grid()))]
+    + [(f"scaled_2^{k}", lambda k=k: tuple(_scaled(_uniform(2000), 2.0 ** k)))
+       for k in (30, -30, 60, -60, 84, -84, 90, -90, 100, -100)]
+    + [(f"subnormal_2^-{k}", lambda k=k: tuple(_scaled(_uniform(300), 2.0 ** -k)))
+       for k in (88, 131, 175, 262)]
+    + [("non_finite", lambda: tuple(_non_finite_rows())),
+       ("zero_d", lambda: (3.0, 2.0, -1.0, -0.95)),
+       ("broadcast", lambda: (3.0, *_uniform(30).reshape(4, 6, 5)[1:])),
+       ("empty", lambda: tuple(np.zeros((4, 0))))]
+)
+
+
+class TestPathPredicates:
+    """Each predicate runs only on the rows whose path can consult it."""
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("make", [m for _, m in PATH_INPUTS],
+                             ids=[name for name, _ in PATH_INPUTS])
+    def test_equals_evaluating_all_nine(self, monkeypatch, make, block_rows):
+        abcd = make()
+        if block_rows is not None:
+            monkeypatch.setattr(batch, "BLOCK_ROWS", block_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes either way
+            got = classify_case_batch(*abcd)
+            monkeypatch.setattr(batch, "_classify_block", _reference_classify_block)
+            want = classify_case_batch(*abcd)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and _same_bits(g, w)
+
+    def _rows_seen(self, monkeypatch):
+        """Per predicate, the (a, b, c, d) rows it is evaluated on."""
+        seen = [[] for _ in batch._PREDICATES]
+
+        def recorded(p, fn):
+            def wrapper(q):
+                seen[p].extend(zip(*(x.tolist() for x in q)))
+                return fn(q)
+            return wrapper
+
+        monkeypatch.setattr(batch, "_PREDICATES", tuple(
+            recorded(p, fn) for p, fn in enumerate(batch._PREDICATES)))
+        return seen
+
+    def test_uniform_rows_reach_only_their_predicates(self, monkeypatch):
+        abcd = _uniform(1 << 13)
+        mask = _consulted(abcd)
+        seen = self._rows_seen(monkeypatch)
+        classify_case_batch(*abcd)
+        rows = list(zip(*(x.tolist() for x in abcd)))
+        for name in ("d_vs_a4_over_256", "d_vs_d_tilde", "d_vs_d_dagger"):
+            assert seen[_INDEX[name]] == [], name
+        for name in ("b_vs_3a2_over_8", "c_vs_C0"):
+            assert seen[_INDEX[name]] == rows, name
+        for name in ("disc_d_slope", "disc_d_curvature"):
+            p = _INDEX[name]
+            want = [row for row, m in zip(rows, mask) if m & (1 << p)]
+            assert 0 < len(want) < len(rows)
+            assert seen[p] == want, name
+
+    def test_a_predicate_run_but_not_consulted_leaves_the_margin(self, monkeypatch):
+        # c = C0 within tolerance and d > d_dagger: the path asks d_vs_d_dagger
+        # and stops, but d_vs_d_dagger comes after d_vs_d_tilde in key order,
+        # so the prefix table still sends the row to d_vs_d_tilde
+        abcd = np.array([[1.0], [-1.0], [-0.625 + 1e-10], [2.0]])
+        tilde = _INDEX["d_vs_d_tilde"]
+        assert not _consulted(abcd)[0] & (1 << tilde)
+        want = classify_case_batch(*abcd)
+        assert CASE_BY_INDEX[want[0][0]] is ClassificationCase.XXV
+        assert 0.0 < want[1][0] < 1.0  # the c_vs_C0 margin
+        ran = []
+
+        def zero(q):  # a sum of zero: sign 0 and margin 0, were it counted
+            ran.append(len(q.a))
+            return (np.zeros_like(q.a),)
+
+        predicates = list(batch._PREDICATES)
+        predicates[tilde] = zero
+        monkeypatch.setattr(batch, "_PREDICATES", tuple(predicates))
+        for got, w in zip(classify_case_batch(*abcd), want):
+            assert _same_bits(got, w)
+        assert ran == [1]
+
+    def test_every_consulted_predicate_runs_on_the_integer_grid(self, monkeypatch):
+        grid = _integer_grid()
+        mask = _consulted(grid)
+        seen = self._rows_seen(monkeypatch)
+        classify_case_batch(*grid)
+        seen = [set(rows) for rows in seen]
+        for row, m in zip(zip(*(x.tolist() for x in grid)), mask):
+            for p in range(len(seen)):
+                if m & (1 << p):
+                    assert row in seen[p], (row, p)
+        assert all(seen)  # the grid reaches every predicate
 
 
 class TestAberthBatch:
