@@ -208,7 +208,7 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
 def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
                            oracle_check: bool) -> Tuple[Report, int]:
     cls = cubic_mod.classify_cubic(cu, tol)
-    roots = cubic_mod._verdict_roots(cu, cls, tol)
+    roots = cubic_mod._verdict_roots(cu, cls)
     fragile = any(c.fragile for c in cls.comparisons)
     theta = isolation = triangle = None
     if cls.triangle is not None:
@@ -321,7 +321,7 @@ def cmd_synthesize(opts) -> Tuple[Report, int]:
     q = synthesize(target, tol)
     cls = classify_quartic(q, tol)
     chain = {
-        "b": _admissible_payload(admissible_b_range(target.a, nature, tol)),
+        "b": _admissible_payload(admissible_b_range(target.a, nature)),
         "c": _admissible_payload(
             admissible_c_range(q.a, q.b, nature, position, tol)),
         "d": _admissible_payload(

@@ -110,9 +110,9 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
             kind = (CubicKind.THREE_DISTINCT_REAL if disc_sign > 0
                     else CubicKind.DOUBLE_PLUS_SINGLE)
             try:
-                triangle = _triangle(a, b, float(cu.c), s2, tol)
+                triangle = _triangle(a, b, float(cu.c), s2)
             except NoTriangle:
-                # boundary verdict whose triangle degenerates below resolution
+                # (a^2 - 3b)^(3/2) underflows: no arccos argument to rotate by
                 triangle = None
     elif s2_sign == 0 and sign("c_vs_a3_over_27", _triple_terms(cu)) == 0:
         # degenerate triangle; triple root only if c sits exactly at a^3/27
@@ -120,28 +120,22 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
     return CubicClassification(kind, thresholds, triangle, tuple(comparisons))
 
 
-def _acos_argument(a: float, b: float, c: float, s2: float,
-                   tol: Tolerance) -> Tuple[float, bool]:
-    """The arccos argument w of the trigonometric roots, and whether |w| > 1.
+def _acos_argument(a: float, b: float, c: float, s2: float) -> float:
+    """The arccos argument w = -27 (c - c0) / (2 (a^2 - 3b)^(3/2)) of the
+    trigonometric roots, for s2 = a^2 - 3b > 0.
 
-    |w| > 1 is a sign test over the terms of w's numerator: w carries their
-    cancellation, so 1 + eps alone is too tight.
+    |w| <= 1 just where the discriminant is >= 0, but w is not tested here:
+    the discriminant's sign decides, and w is only evaluated.
     """
     denom = 2.0 * math.sqrt(s2) ** 3
     if denom == 0.0:
         raise NoTriangle("a^2 - 3b below floating-point resolution")
     t1, t2, t3 = _acos_numerator_terms(a, b, c)
-    w = -(t1 + t2 + t3) / denom
-    if abs(w) <= 1.0 + tol.eps:
-        return w, False
-    if not math.isfinite(w):  # the numerator overflowed: no sign test to make
-        return w, True
-    s = -1.0 if w > 0 else 1.0  # the sign of the numerator
-    return w, tol.sign_terms((s * t1, s * t2, s * t3, -denom)) > 0
+    return -(t1 + t2 + t3) / denom
 
 
 def _angle(w: float) -> float:
-    """The rotation angle theta in [0, pi/3] for an arccos argument |w| <= 1 + eps."""
+    """The rotation angle theta in [0, pi/3], with w clamped into [-1, 1]."""
     return math.acos(max(-1.0, min(1.0, w))) / 3.0
 
 
@@ -154,14 +148,11 @@ def _three_roots(third, amp, theta, cos=math.cos):
     ]
 
 
-def _triangle(a: float, b: float, c: float, s2: float, tol: Tolerance) -> TriangleData:
+def _triangle(a: float, b: float, c: float, s2: float) -> TriangleData:
     """The vertex triangle once a^2 - 3b > 0 and a discriminant >= 0 are decided."""
     r = math.sqrt(s2) / 3.0
     third = -a / 3.0
-    w, outside = _acos_argument(a, b, c, s2, tol)
-    if outside:
-        raise NoTriangle("trigonometric branch did not yield three real roots")
-    theta = _angle(w)
+    theta = _angle(_acos_argument(a, b, c, s2))
     x1, x2, x3 = sorted(_three_roots(third, 2.0 / 3.0 * math.sqrt(s2), theta), reverse=True)
     return TriangleData(
         centroid_x=third,
@@ -184,28 +175,48 @@ def _triangle(a: float, b: float, c: float, s2: float, tol: Tolerance) -> Triang
 
 
 def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
-    """Raw trigonometric root values.
+    """Raw trigonometric root values for the count of real roots that
+    classify_cubic's sign tests decide (a^2 - 3b, then the discriminant or
+    c against a^3/27).
 
     Returns ``("three", [x1, x2, x3])`` in descending order x1 >= x2 >= x3
-    when the rotation angle is real, ``("triple", x)`` for a triple root x,
-    otherwise ``("one", x)`` where x is the single real root.
+    for three real roots, ``("triple", x)`` for a triple root x, otherwise
+    ``("one", x)`` where x is the single real root.  Raises OverflowError
+    when a sign test overflows.
+    """
+    s2_sign = tol.sign_terms(_gap_terms(cu))
+    if s2_sign > 0:
+        three = tol.sign_terms(cubic_discriminant_terms(cu)) >= 0
+    else:
+        three = s2_sign == 0 and tol.sign_terms(_triple_terms(cu)) == 0
+    return _decided_values(cu, s2_sign, three)
+
+
+def _decided_values(cu: Cubic, s2_sign: int, three: bool):
+    """viete_values once the sign of a^2 - 3b (``s2_sign``) and whether the real
+    roots, counted by multiplicity, are ``three`` are decided.
+
+    Only the decided count is evaluated: the arccos argument w is clamped
+    into [-1, 1] for three real roots and moved just outside it for one.
+    Three real roots with a^2 - 3b <= 0, or with (a^2 - 3b)^(3/2) below
+    float resolution, are the triple root -a/3.
     """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
-    s2_sign = tol.sign_terms(_gap_terms(cu))
     if s2_sign != 0 and 2.0 * math.sqrt(abs(s2)) ** 3 == 0.0:
         s2_sign = 0  # nonzero but below float resolution: degenerate triangle
     third = -a / 3.0
-    if s2_sign == 0:
-        shift = c - a ** 3 / 27.0
-        if tol.sign_terms(_triple_terms(cu)) == 0:
-            return "triple", third
-        return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)
-        w, outside = _acos_argument(a, b, c, s2, tol)
-        if not outside:
+        w = _acos_argument(a, b, c, s2)
+        if three:
             return "three", _three_roots(third, amp, _angle(w))
+        w = math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w)
+    elif three:
+        return "triple", third
+    elif s2_sign == 0:
+        shift = c - a ** 3 / 27.0
+        return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
     else:
         # mirrored formulas: inverted radical signs, and the product relation
         # flips the arccos argument sign as well
@@ -222,13 +233,12 @@ def _single_real(third, amp, w) -> float:
 
 
 def viete_roots(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> RootSet:
-    """RootSet via the trigonometric formulas (all cases, complex-safe).
+    """RootSet via the trigonometric formulas (all cases, complex-safe), held
+    to classify_cubic's verdict.
 
-    Raises OverflowError when the formulas overflow to a non-finite root.
+    Raises OverflowError when a sign test or the formulas overflow.
     """
-    kind, payload = viete_values(cu, tol)
-    distinct = kind == "three" and tol.sign_terms(cubic_discriminant_terms(cu)) > 0
-    return _root_set(cu, kind, payload, distinct)
+    return _verdict_roots(cu, classify_cubic(cu, tol))
 
 
 def _root_set(cu: Cubic, kind, payload, distinct: bool) -> RootSet:
@@ -248,49 +258,27 @@ def _root_set(cu: Cubic, kind, payload, distinct: bool) -> RootSet:
     return root_set_from_values(values, residuals, 3, merge_tol=0.0 if distinct else 1e-6)
 
 
-def _held_values(cu: Cubic, three: bool, tol: Tolerance):
-    """viete_values held to a count of real roots that a sign test decided.
-
-    Next to a double root the arccos test of viete_values, looser than a
-    discriminant sign test, can read the other side of |w| = 1; next to a
-    triple root its a^2 - 3b test can read zero and give one root.  w then
-    moves onto the decided side: into [-1, 1] for three real roots
-    (``three``), just outside it for one.  A triple root, or an a^2 - 3b
-    whose arccos denominator underflows, is left as viete_values gives it.
-    """
-    kind, payload = viete_values(cu, tol)
-    if kind == "triple" or (kind == "three") == three:
-        return kind, payload
-    a, b = float(cu.a), float(cu.b)
-    s2 = a * a - 3.0 * b
-    if not 2.0 * math.sqrt(max(s2, 0.0)) ** 3 > 0.0:
-        return kind, payload  # no arccos argument to move
-    w = _acos_argument(a, b, float(cu.c), s2, tol)[0]
-    third, amp = -a / 3.0, 2.0 / 3.0 * math.sqrt(s2)
-    if three:
-        return "three", _three_roots(third, amp, _angle(w))
-    return "one", _single_real(third, amp, math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w))
-
-
-def _verdict_roots(cu: Cubic, cls: CubicClassification, tol: Tolerance) -> RootSet:
-    """viete_roots held to the verdict ``cls``: three real roots, counted by
-    multiplicity, for a two- or three-real verdict, one and a complex pair for
-    a one-real verdict (see _held_values)."""
-    distinct = cls.kind is CubicKind.THREE_DISTINCT_REAL
-    three = distinct or cls.kind is CubicKind.DOUBLE_PLUS_SINGLE
-    return _root_set(cu, *_held_values(cu, three, tol), distinct)
+def _verdict_roots(cu: Cubic, cls: CubicClassification) -> RootSet:
+    """The roots for the verdict ``cls``, with no sign test of their own: three
+    real roots, counted by multiplicity, for a two- or three-real verdict, one
+    and a complex pair for a one-real verdict."""
+    one = cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+    kind, payload = _decided_values(cu, cls.comparisons[0].sign, not one)
+    return _root_set(cu, kind, payload, cls.kind is CubicKind.THREE_DISTINCT_REAL)
 
 
 def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Triangle rotation angle in [0, pi/3]; 0 at c=c2, pi/6 at c=c0, pi/3 at c=c1."""
+    """Triangle rotation angle in [0, pi/3]; 0 at c=c2, pi/6 at c=c0, pi/3 at c=c1.
+
+    Raises OutOfRange when a^2 - 3b > 0 but the discriminant reads < 0.
+    """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
     if tol.sign_terms(_gap_terms(cu)) <= 0:
         raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0")
-    w, outside = _acos_argument(a, b, c, s2, tol)
-    if outside:
-        raise OutOfRange(f"arccos argument {w!r} outside [-1, 1]: free term outside band")
-    return _angle(w)
+    if tol.sign_terms(cubic_discriminant_terms(cu)) < 0:
+        raise OutOfRange(f"the discriminant reads < 0: free term c = {c:.6g} outside the band")
+    return _angle(_acos_argument(a, b, c, s2))
 
 
 def triangle_data(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> TriangleData:

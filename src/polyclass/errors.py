@@ -14,7 +14,7 @@ class NoTetrahedron(PolyclassError):
 
 
 class OutOfRange(PolyclassError):
-    """An arccos argument left [-1, 1] by more than the clamping tolerance."""
+    """The free term lies outside the band [c2, c1], as the discriminant's sign decides."""
 
 
 class NoConvergence(PolyclassError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import rshift
 from typing import Callable, List, Optional, Tuple
 
-from .cubic import _held_values, viete_values
+from .cubic import _decided_values, _gap_terms, viete_values
 from .numeric import (
     _OVERFLOW,
     DEFAULT_TOL,
@@ -351,9 +351,10 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
             til = -A - 2 * dag if lam is None else _value(-A * denom - 2 * num, denom, lam, 4)
     else:
         # three d-roots just where Delta3 = -K (c - C0)^2 [(c - C1)(c - C2)]^3 > 0:
-        # inside the band, whatever the d-cubic's own arccos test reads
+        # inside the band; the float d-cubic's roots are held to that count
         three = s_b < 0 and s_band < 0
-        kind, payload = _held_values(Cubic(*map(float, abc)), three, tol)
+        d_cubic = Cubic(*map(float, abc))
+        kind, payload = _decided_values(d_cubic, tol.sign_terms(_gap_terms(d_cubic)), three)
         if kind == "three":
             d_roots = tuple(sorted(payload, reverse=True))
         elif three:
@@ -424,7 +425,7 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
 
 def _stationary_points(qf: Quartic, tol: Tolerance) -> List[float]:
     """The real roots of p' by the Viete formulas (viete_values), descending:
-    three when the arccos test reads three, else one."""
+    three when p's discriminant reads >= 0, else one."""
     kind, payload = viete_values(qf.derivative_monic()[0], tol)
     return list(payload) if kind == "three" else [payload]
 

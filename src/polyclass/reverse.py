@@ -74,7 +74,7 @@ def _b_threshold(a) -> float:
     return 3.0 * float(a) ** 2 / 8.0
 
 
-def admissible_b_range(a, nature: Nature, tol: Tolerance = DEFAULT_TOL) -> Admissible:
+def admissible_b_range(a, nature: Nature) -> Admissible:
     """Admissible quadratic coefficients for the target nature."""
     thr = _b_threshold(a)
     if nature is Nature.QUADRUPLE_ROOT:
@@ -268,7 +268,7 @@ def _pick_chain(target: NatureTarget, rng: random.Random, tol: Tolerance, pad: f
     float admissible sets; ``snap`` turns each pick into a coefficient."""
     fa, nature, position = float(a), target.nature, target.position
     if b is None:
-        b = snap(_pick(admissible_b_range(fa, nature, tol), target, rng, pad))
+        b = snap(_pick(admissible_b_range(fa, nature), target, rng, pad))
     if c is None:
         c = snap(_pick(admissible_c_range(fa, float(b), nature, position, tol), target, rng, pad))
     d_adm = admissible_d_range(fa, float(b), float(c), nature, position, tol)

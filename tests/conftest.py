@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
@@ -13,6 +14,16 @@ def cubic_coeffs_from_roots(r1, r2, r3) -> Tuple[float, float, float]:
     b = r1 * r2 + r1 * r3 + r2 * r3
     c = -r1 * r2 * r3
     return a, b, c
+
+
+def near_double_cubic_coeffs(n: int = 5000, seed: int = 2024) -> Iterator[Tuple[float, ...]]:
+    """(x - u)^2 (x - v) with c moved off the double root by 1e-14 to 1e-8: one
+    real root or three, with the arccos argument of the Viete formulas near +-1."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        shift = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14, -8)
+        yield -(2 * u + v), u * u + 2 * u * v, -u * u * v + shift
 
 
 def quartic_coeffs_from_roots(r1, r2, r3, r4) -> Tuple[float, float, float, float]:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from polyclass.cli import main, parse_argv
 from polyclass.report import SCHEMA, Report
 
-from conftest import assert_roots_agree
+from conftest import assert_roots_agree, near_double_cubic_coeffs
 
 
 def run(capsys, *argv):
@@ -133,10 +132,9 @@ class TestClassifyCommand:
         from polyclass import cli
 
         cli.cmd_classify({"cubic": ["0", "-3", "1"]})
-        # classify (2), viete_roots (1), the isolation branch (1); 15 when the
-        # report and every reader tested the predicates again, 6 when the
-        # isolation classified the cubic a second time
-        assert len(sign_tests) <= 4
+        # classify (2) and the isolation branch (1): the roots read the
+        # verdict's comparisons, and no reader tests a predicate again
+        assert len(sign_tests) <= 3
 
     def test_one_real_verdict_reports_one_real_root(self, capsys):
         # the exact discriminant is -1.4e-9; the arccos test alone reads |w| <= 1
@@ -152,16 +150,11 @@ class TestClassifyCommand:
         assert root["value"] == pytest.approx(1.47461, abs=1e-5)
 
     def test_one_real_verdicts_near_a_double_root(self):
-        # (x - u)^2 (x - v) with c moved off the double root by 1e-14 to 1e-8: a
-        # one-real verdict lists one root and a pair, any other three real roots
+        # a one-real verdict lists one root and a pair, any other three real roots
         from polyclass import cli
 
-        rng = random.Random(2024)
         one_real = 0
-        for _ in range(5000):
-            u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            shift = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14, -8)
-            coeffs = (-(2 * u + v), u * u + 2 * u * v, -u * u * v + shift)
+        for coeffs in near_double_cubic_coeffs():
             data = cli.cmd_classify({"cubic": [repr(x) for x in coeffs]})[0].data
             real = [r["multiplicity"] for r in data["roots"]]
             if data["classification"]["kind"] == "one_real_plus_complex_pair":

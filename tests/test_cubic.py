@@ -22,10 +22,10 @@ from polyclass import (
     viete_roots,
 )
 
-from polyclass import cli, numeric, quartic
+from polyclass import cli, cubic, numeric, quartic
 from polyclass.cubic import viete_values
 
-from conftest import cubic_coeffs_from_roots
+from conftest import cubic_coeffs_from_roots, near_double_cubic_coeffs
 
 C1_SYMMETRIC = 2.0 / 27.0 * math.sqrt(27.0)  # thresholds of x^3 - x + c
 
@@ -147,6 +147,70 @@ class TestComparisons:
             classify_cubic(Cubic(Fraction(0), Fraction(10 ** 400), Fraction(0)))
 
 
+#: on these two the arccos argument w alone reads the other count of real
+#: roots: |w| <= 1 on a confident one-real verdict (the exact discriminant is
+#: -1.4e-9), |w| > 1 on a double root
+ONE_REAL_NEAR_DOUBLE = Cubic(-1.3870346645816403, -0.1272221688670459,
+                             -0.0028273608726040165)
+DOUBLE_PAST_UNIT_ARGUMENT = Cubic(2.263222508251383, 1.6527957763279557, 0.3832584935443065)
+
+
+class TestReadersHoldToTheVerdict:
+    """viete_values, viete_roots, rotation_angle, triangle_data and the
+    isolation intervals give the count of real roots that classify_cubic's
+    discriminant test decides."""
+
+    def test_near_double_sweep(self):
+        one_real = 0
+        for coeffs in near_double_cubic_coeffs():
+            cu = Cubic(*coeffs)
+            cls = classify_cubic(cu)
+            one = cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+            one_real += one
+            rs = viete_roots(cu)
+            assert (rs.real_count, rs.complex_pairs) == ((1, 1) if one else (3, 0)), cu
+            assert rs == cubic._verdict_roots(cu, cls), cu
+            assert (viete_values(cu)[0] == "one") == one, cu
+            if cls.comparisons[0].sign <= 0:  # a^2 - 3b reads <= 0: no band
+                with pytest.raises(NoTriangle):
+                    rotation_angle(cu)
+            elif one:
+                with pytest.raises(OutOfRange):
+                    rotation_angle(cu)
+            else:
+                assert rotation_angle(cu) == triangle_data(cu).theta
+                cubic_isolation_intervals(cu)
+        assert 100 < one_real < 4900
+
+    def test_one_real_near_a_double_root(self):
+        cu = ONE_REAL_NEAR_DOUBLE
+        cls = classify_cubic(cu)
+        assert cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+        assert not any(c.fragile for c in cls.comparisons)
+        rs = viete_roots(cu)
+        assert rs.complex_pairs == 1
+        assert rs.roots == ((pytest.approx(1.47461, abs=1e-5), 1),)
+        assert viete_values(cu)[0] == "one"
+        with pytest.raises(OutOfRange):
+            rotation_angle(cu)
+        with pytest.raises(NoTriangle):
+            triangle_data(cu)
+
+    def test_double_root_past_the_unit_argument(self):
+        cu = DOUBLE_PAST_UNIT_ARGUMENT
+        cls = classify_cubic(cu)
+        assert cls.kind is CubicKind.DOUBLE_PLUS_SINGLE
+        rs = viete_roots(cu)
+        assert rs.complex_pairs == 0
+        assert rs.roots == ((pytest.approx(-0.8893103, abs=1e-6), 2),
+                            (pytest.approx(-0.4846020, abs=1e-6), 1))
+        assert viete_values(cu)[0] == "three"
+        tri = triangle_data(cu)
+        assert rotation_angle(cu) == tri.theta == pytest.approx(0.0, abs=1e-6)
+        lo, mid, hi = cubic_isolation_intervals(cu).intervals
+        assert lo[0] <= -0.8893103 <= mid[1] and hi[0] <= -0.4846020 <= hi[1]
+
+
 class TestVieteRoots:
     def test_symmetric_three_real(self):
         rs = viete_roots(Cubic(0.0, -1.0, 0.0))
@@ -159,14 +223,15 @@ class TestVieteRoots:
 
     @pytest.mark.parametrize("c", [1e307, -1e307])
     def test_overflowing_arccos_argument_keeps_the_one_real_branch(self, c):
-        # a^2 - 3b > 0 but 27c overflows the arccos numerator to +-inf; the
-        # quartic thresholds call viete_values after the verdict is decided
+        # a^2 - 3b > 0 but 27c^2 overflows the discriminant, which decides the
+        # count: every public reader refuses, as classify_cubic does
         cu = Cubic(0.0, -1.0, c)
-        assert viete_values(cu)[0] == "one"
-        with pytest.raises(OutOfRange):
-            rotation_angle(cu)
-        with pytest.raises(OverflowError, match="overflow"):
-            viete_roots(cu)
+        for reader in (classify_cubic, viete_values, viete_roots, rotation_angle):
+            with pytest.raises(OverflowError, match="overflow"):
+                reader(cu)
+        # the d-cubic of the quartic thresholds is held to the quartic's
+        # one-real verdict: its arccos argument overflows to +-inf, one root
+        assert cubic._decided_values(cu, 1, False)[0] == "one"
 
     def test_derivative_cubic_of_worked_example(self):
         rs = viete_roots(Cubic(2.25, 1.0, -0.25))
