@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import cubic as cubic_mod
 from . import geometry as geometry_mod
 from .errors import DegenerateAtBoundary, PolyclassError
-from .numeric import DEFAULT_EPS, Tolerance, parse_number
+from .numeric import DEFAULT_EPS, DEFAULT_TOL, Tolerance, parse_number
 from .oracle import brute_discriminant, solve
 from .poly import Cubic, Quartic, discriminant_quartic
 from .quartic import (
@@ -107,7 +107,9 @@ def parse_argv(argv: Sequence[str]) -> Tuple[str, Dict]:
         elif token in VALUE_FLAGS:
             count = VALUE_FLAGS[token]
             values = rest[i + 1:i + 1 + count]
-            if len(values) < count:
+            # a flag is never a value: "--cubic 1 2 --json" lacks a coefficient
+            if len(values) < count or any(v in VALUE_FLAGS or v in BOOL_FLAGS
+                                          for v in values):
                 raise CliError(f"flag {token} expects {count} value(s)")
             opts[token[2:]] = values if count > 1 else values[0]
             i += 1 + count
@@ -120,7 +122,8 @@ def parse_argv(argv: Sequence[str]) -> Tuple[str, Dict]:
 
 def _mode(opts) -> Tuple[bool, Tolerance]:
     """The arithmetic (exact or float) and the sign-test tolerance of a command."""
-    return bool(opts.get("exact")), Tolerance(float(opts.get("tol", DEFAULT_EPS)))
+    eps = float(opts.get("tol", DEFAULT_EPS))
+    return bool(opts.get("exact")), DEFAULT_TOL if eps == DEFAULT_EPS else Tolerance(eps)
 
 
 def _numbers(opts, key, exact) -> List:

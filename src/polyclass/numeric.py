@@ -1,13 +1,9 @@
 """Tolerance-aware sign tests shared by every classifier.
 
 All threshold decisions in the library reduce to the sign of a polynomial
-expression in the input coefficients.  In floating point, a sign is only
-trusted when the summed value exceeds ``eps`` times the magnitude of the
-largest term in the expression; anything smaller counts as zero.  Below
-the normal float range precision is absolute rather than relative, so the
-scale never counts as less than the smallest normal float.  With
-``fractions.Fraction`` coefficients the same tests are exact and the
-tolerance is ignored.
+expression in the input coefficients, given as a list of monomial terms.
+``Tolerance`` states the float sign rule; with ``fractions.Fraction``
+coefficients the same tests are exact and the tolerance is ignored.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from numbers import Rational
 from operator import add
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -64,8 +60,7 @@ def parse_number(text: str, exact: bool) -> Number:
     return float(text)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """One threshold decision: sign and signed margin in tolerance units (value - threshold)."""
 
     name: str
@@ -83,11 +78,14 @@ _OVERFLOW = ("coefficient magnitudes overflow the threshold expression; "
 class Tolerance:
     """Relative sign-test tolerance.
 
-    ``sign_terms`` sums a list of monomial terms left to right and compares
-    the total against ``eps`` times the largest term magnitude, or the
-    smallest normal float if that is larger.  Exact (rational) terms
-    short-circuit to an exact comparison.  ``compare_terms`` makes the same
-    test and also returns the value, margin and fragile flag.
+    ``sign_terms`` sums a list of monomial terms left to right
+    (``sum_terms``).  A float total reads 0 when its magnitude is at most
+    ``eps`` times the scale, the largest term magnitude or the smallest
+    normal float if that is larger: below the normal range precision is
+    absolute rather than relative.  A total or scale that is not finite
+    raises OverflowError.  Exact (rational) totals short-circuit to an
+    exact comparison.  ``compare_terms`` makes the same test and also
+    returns the value, margin and fragile flag.
     """
 
     eps: float = DEFAULT_EPS
@@ -101,40 +99,45 @@ class Tolerance:
 
     def sign_terms(self, terms: Sequence[Number]) -> int:
         value = sum_terms(terms)
-        if is_exact(value):
-            return (value > 0) - (value < 0)
-        value = float(value)
-        scale = max((abs(float(t)) for t in terms), default=0.0)
-        if not math.isfinite(value) or not math.isfinite(scale):
+        if type(value) is not float:
+            if is_exact(value):
+                return (value > 0) - (value < 0)
+            value = float(value)
+        # rounding to float is monotone, so this is the largest |float(t)|
+        scale = float(max(map(abs, terms)))
+        size = abs(value)
+        if not (size < math.inf and scale < math.inf):
             raise OverflowError(_OVERFLOW)
-        return self.sign(value, scale)
+        if size <= self.eps * (scale if scale > MIN_NORMAL else MIN_NORMAL):
+            return 0
+        return 1 if value > 0 else -1
 
     def compare_terms(self, terms: Sequence[Number]) -> Tuple[int, float, float, bool]:
         """One comparison from a single sum: (sign, value, margin, fragile).
 
         ``value`` is the sum as a float and ``margin`` its signed distance
-        from zero in tolerance units (1.0 == eps * scale).  An exact sum is
-        fragile only when it is zero; a float sum when |margin| < 10.  Unlike
-        ``sign_terms``, exact terms are converted to float as well, so
-        Fractions beyond the float range raise OverflowError here.
+        from zero in tolerance units (1.0 == eps * scale, ±inf when that is
+        0).  An exact sum is fragile only when it is zero; a float sum when
+        |margin| < 10.  Unlike ``sign_terms``, exact terms are converted to
+        float as well, so Fractions beyond the float range raise
+        OverflowError here.
         """
-        total = sum_terms(terms)
-        if is_exact(total):
-            return _compare_exact(self, total, max(map(abs, terms), default=0))
-        value = float(total)
-        scale = max((abs(float(t)) for t in terms), default=0.0)
-        if not math.isfinite(value) or not math.isfinite(scale):
+        value = sum_terms(terms)
+        if type(value) is not float:
+            if is_exact(value):
+                return _compare_exact(self, value, max(map(abs, terms), default=0))
+            value = float(value)
+        scale = float(max(map(abs, terms)))
+        size = abs(value)
+        if not (size < math.inf and scale < math.inf):
             raise OverflowError(_OVERFLOW)
-        margin = self.margin(value, scale)
-        return self.sign(value, scale), value, margin, abs(margin) < 10.0
-
-    def sign(self, value: Number, scale: float) -> int:
-        if is_exact(value):
-            return (value > 0) - (value < 0)
-        v = float(value)
-        if abs(v) <= self.eps * (scale if scale > MIN_NORMAL else MIN_NORMAL):
-            return 0
-        return 1 if v > 0 else -1
+        denom = self.eps * (scale if scale > MIN_NORMAL else MIN_NORMAL)
+        if denom == 0.0:
+            margin = math.inf if value > 0 else (-math.inf if value < 0 else 0.0)
+        else:
+            margin = value / denom
+        s = 0 if size <= denom else (1 if value > 0 else -1)
+        return s, value, margin, abs(margin) < 10.0
 
     def margin(self, value: Number, scale: float) -> float:
         v = float(value)

@@ -79,6 +79,10 @@ class _Monic:
         return (1, *self._values(self))
 
     def as_float(self):
+        """This polynomial in float; itself when it is float already, as
+        coefficients are all float or all Fraction and never change."""
+        if type(self._values(self)[0]) is float:
+            return self
         return type(self)(*map(float, self._values(self)))
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyclass.cli import main, parse_argv
+from polyclass.cli import CliError, _mode, main, parse_argv
+from polyclass.numeric import DEFAULT_TOL, Tolerance
 from polyclass.report import SCHEMA, Report
 
 from conftest import assert_roots_agree, near_double_cubic_coeffs
@@ -37,6 +38,27 @@ class TestParsing:
     def test_help(self, capsys):
         code, _, err = run(capsys, "--help")
         assert code == 1 and "usage" in err
+
+    @pytest.mark.parametrize("argv, flag, count", [
+        (["--cubic", "1", "2", "--json"], "--cubic", 3),
+        (["--quartic", "3", "2", "--exact", "-1"], "--quartic", 4),
+        (["--tol", "--json"], "--tol", 1),
+        (["--cubic", "1", "--tol", "1e-6", "2"], "--cubic", 3),
+    ])
+    def test_a_flag_is_not_a_value(self, argv, flag, count):
+        with pytest.raises(CliError, match=f"flag {flag} expects {count} value"):
+            parse_argv(["classify", *argv])
+
+    def test_a_short_value_list_before_json_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--cubic", "1", "2", "--json")
+        assert code == 1 and out == ""
+        assert "expects 3 value(s)" in err
+
+    def test_default_tolerance_is_shared(self):
+        assert _mode({})[1] is DEFAULT_TOL
+        assert _mode({"tol": "1e-9"})[1] is DEFAULT_TOL
+        exact, tol = _mode({"tol": "1e-6", "exact": True})
+        assert exact and tol == Tolerance(1e-6)
 
 
 class TestClassifyCommand:
@@ -182,6 +204,7 @@ class TestClassifyCommand:
                            "--tol", "1e-6", "--json")
         assert code == 2
         assert json.loads(out)["eps"] == 1e-6
+        assert '"eps": 1e-06' in out
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_invalid_tolerance_is_an_error_report(self, capsys, eps):

@@ -1,4 +1,5 @@
-"""Tolerance.compare_terms against the separate sign, value and margin calls."""
+"""Tolerance.sign_terms and compare_terms against the sign rule written out
+term by term, and the Comparison record."""
 
 import math
 from fractions import Fraction
@@ -8,22 +9,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyclass.numeric import Tolerance, _sum_left, is_exact, sum_terms
+from polyclass.numeric import (
+    MIN_NORMAL,
+    Comparison,
+    Tolerance,
+    _sum_left,
+    is_exact,
+    sum_terms,
+)
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
 fractions = st.fractions() | st.integers(-10**400, 10**400).map(Fraction)
 epsilons = st.sampled_from([1e-9, 1e-6, 1e-2, 0.0])
+#: ints too large for a float: added to a float they raise OverflowError
+huge_ints = st.integers(10**308, 10**400) | st.integers(-10**400, -10**308)
+
+
+def left_to_right(terms):
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def reference_sign(tol: Tolerance, terms):
+    """The sign rule, one term at a time: an exact total by its own sign; a
+    float total is 0 when |total| <= eps * max(max |float(t)|, MIN_NORMAL)."""
+    total = left_to_right(terms)
+    if is_exact(total):
+        return (total > 0) - (total < 0)
+    value = float(total)
+    scale = max((abs(float(t)) for t in terms), default=0.0)
+    if not math.isfinite(value) or not math.isfinite(scale):
+        raise OverflowError
+    if abs(value) <= tol.eps * max(scale, MIN_NORMAL):
+        return 0
+    return 1 if value > 0 else -1
 
 
 def reference(tol: Tolerance, terms):
-    """Sign, float sum, margin and fragile flag from the calls compare_terms
-    replaced in classify_quartic."""
-    total = sum(terms)
-    s = tol.sign_terms(terms)
+    """Sign, float sum, margin in tolerance units and fragile flag, each
+    from its own definition."""
+    s = reference_sign(tol, terms)
+    total = left_to_right(terms)
     value = float(total)
-    # margin in tolerance units, as the former Tolerance.margin_terms did it
     scale = max((abs(float(t)) for t in terms), default=0.0)
-    margin = tol.margin(value, scale)
+    denom = tol.eps * max(scale, MIN_NORMAL)
+    if denom == 0.0:
+        margin = math.inf if value > 0 else (-math.inf if value < 0 else 0.0)
+    else:
+        margin = value / denom
     fragile = (s == 0) if is_exact(total) else abs(margin) < 10.0
     return s, value, margin, fragile
 
@@ -48,7 +83,39 @@ term_lists = st.one_of(
     with_negations(st.lists(fractions, max_size=3)),
     st.integers(0, 5).map(lambda n: [0.0] * n),
     st.integers(0, 5).map(lambda n: [Fraction(0)] * n),
+    # float mixed with the other number types the library may meet
+    st.lists(floats | fractions | floats.map(np.float64) | huge_ints
+             | st.integers(-10**30, 10**30), max_size=6),
+    # totals that overflow or turn NaN
+    st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0]),
+             min_size=1, max_size=6),
 )
+
+#: mixed, overflowing and NaN totals, each of which the rule must meet
+EDGE_TERMS = [
+    (1.5, Fraction(1, 3), -2),
+    (Fraction(1, 3), 1.5, Fraction(-11, 6)),
+    (np.float64(1e-20), 0.5, -0.5),
+    (0.5, np.float64(-0.5)),
+    (10**400, -10**400, 1.0),
+    (Fraction(10**400), Fraction(-10**400), 1e-300),
+    (1.0, 10**400),
+    (1e308, 1e308),
+    (1e308, 1e308, -1e308),
+    (np.float64(1e308), 1e308),
+    (math.inf, -math.inf),
+    (math.nan, 1.0),
+    (1.0, -math.inf),
+]
+
+
+@pytest.mark.parametrize("terms", EDGE_TERMS)
+@pytest.mark.parametrize("eps", [1e-9, 0.0])
+def test_edge_term_lists_follow_the_rule(terms, eps):
+    tol = Tolerance(eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(tol.sign_terms, terms) == outcome(reference_sign, tol, terms)
+        assert outcome(tol.compare_terms, terms) == outcome(reference, tol, terms)
 
 
 @settings(max_examples=400, deadline=None)
@@ -56,7 +123,17 @@ term_lists = st.one_of(
 def test_compare_terms_matches_separate_calls(terms, eps):
     tol = Tolerance(eps)
     terms = tuple(terms)
-    assert outcome(tol.compare_terms, terms) == outcome(reference, tol, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(tol.compare_terms, terms) == outcome(reference, tol, terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_lists, epsilons)
+def test_sign_terms_matches_the_rule(terms, eps):
+    tol = Tolerance(eps)
+    terms = tuple(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(tol.sign_terms, terms) == outcome(reference_sign, tol, terms)
 
 
 def test_terms_are_summed_left_to_right():
@@ -71,20 +148,14 @@ def test_terms_are_summed_left_to_right():
     assert sum_terms(()) == _sum_left(()) == 0
 
 
-def left_to_right(terms):
-    total = 0
-    for t in terms:
-        total = total + t
-    return total
-
-
 @settings(max_examples=300, deadline=None)
 @given(term_lists)
 def test_sums_add_left_to_right(terms):
     # sum_terms is sum() or _sum_left, whichever is left to right and faster
-    want = outcome(left_to_right, terms)
-    assert outcome(sum_terms, terms) == want
-    assert outcome(_sum_left, terms) == want
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = outcome(left_to_right, terms)
+        assert outcome(sum_terms, terms) == want
+        assert outcome(_sum_left, terms) == want
 
 
 def test_overflowing_float_terms_raise():
@@ -125,3 +196,35 @@ def test_exact_sign_of_huge_fractions_needs_no_float():
 ])
 def test_is_exact(value, exact):
     assert is_exact(value) is exact
+
+
+class TestComparisonRecord:
+    RECORD = Comparison("C0", -1, -0.25, -2.5e8, False)
+
+    def test_fields_in_order(self):
+        assert Comparison._fields == ("name", "sign", "value", "margin_units", "fragile")
+        assert (self.RECORD.name, self.RECORD.sign, self.RECORD.value,
+                self.RECORD.margin_units, self.RECORD.fragile) == tuple(self.RECORD)
+
+    def test_repr(self):
+        assert repr(self.RECORD) == ("Comparison(name='C0', sign=-1, value=-0.25, "
+                                     "margin_units=-250000000.0, fragile=False)")
+
+    def test_equality_and_hash_by_value(self):
+        same = Comparison("C0", -1, -0.25, -2.5e8, False)
+        assert same == self.RECORD and hash(same) == hash(self.RECORD)
+        assert self.RECORD != Comparison("C0", -1, -0.25, -2.5e8, True)
+        assert len({self.RECORD, same}) == 1
+
+    @pytest.mark.parametrize("field", ["name", "sign", "value", "margin_units", "fragile"])
+    def test_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.RECORD, field, 0)
+        with pytest.raises(AttributeError):
+            self.RECORD.extra = 0
+
+    def test_comparisons_of_a_classification_are_records(self):
+        from polyclass import Quartic, classify_quartic
+
+        cls = classify_quartic(Quartic(3.0, 2.0, -1.0, -0.95))
+        assert cls.comparisons and all(type(c) is Comparison for c in cls.comparisons)

@@ -63,6 +63,21 @@ class TestConstruction:
         assert all(type(v) is float for v in qf.coefficients()[1:])
         assert qf == Quintic(1.0, 0.5, 0.0, 0.0, -3.0)
 
+    @pytest.mark.parametrize("kind, coeffs", [
+        (Cubic, (1, Fraction(-1, 3), 2)),
+        (Quartic, (3, 2, -1, Fraction(-19, 20))),
+        (Quintic, (1, Fraction(1, 2), 0, 0, -3)),
+    ])
+    def test_as_float_copies_exact_and_keeps_float(self, kind, coeffs):
+        exact = kind(*coeffs)
+        qf = exact.as_float()
+        assert qf is not exact and qf == kind(*map(float, coeffs))
+        assert all(type(v) is float for v in qf.coefficients()[1:])
+        # float coefficients never change, so the float polynomial is its own copy
+        assert qf.as_float() is qf
+        floaty = kind(*map(float, coeffs))
+        assert floaty.as_float() is floaty
+
     def test_derivative_of_quartic_is_scaled_monic_cubic(self):
         deriv, factor = Quartic(3.0, 2.0, -1.0, -0.95).derivative_monic()
         assert factor == 4
