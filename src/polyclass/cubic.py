@@ -198,13 +198,15 @@ def _decided_values(cu: Cubic, s2_sign: int, three: bool):
 
     Only the decided count is evaluated: the arccos argument w is clamped
     into [-1, 1] for three real roots and moved just outside it for one.
-    Three real roots with a^2 - 3b <= 0, or with (a^2 - 3b)^(3/2) below
-    float resolution, are the triple root -a/3.
+    ``s2_sign`` counts as 0 when a^2 - 3b, rounded to floats, does not share
+    it (a sign decided on exact coefficients) or (a^2 - 3b)^(3/2) is below
+    float resolution: a degenerate triangle.  Three real roots with
+    ``s2_sign`` 0 or below are the triple root -a/3.
     """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
     s2 = a * a - 3.0 * b
-    if s2_sign != 0 and 2.0 * math.sqrt(abs(s2)) ** 3 == 0.0:
-        s2_sign = 0  # nonzero but below float resolution: degenerate triangle
+    if s2_sign * s2 <= 0.0 or 2.0 * math.sqrt(abs(s2)) ** 3 == 0.0:
+        s2_sign = 0
     third = -a / 3.0
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)

@@ -89,6 +89,8 @@ class QuarticThresholds:
     For exact input the fields that are rational functions of the coefficients
     (c_mid, abc, d_dagger, d_tilde and a triple d-root) are Fractions, each made
     once from integers of the lattice point (see _lattice); the rest are floats.
+    Three d_roots are d - p(x) = -(x^4 + a x^3 + b x^2 + c x) at the stationary
+    points x of p; a single one is the real root of the float d-cubic.
     """
 
     c_mid: Number  # C0
@@ -329,6 +331,8 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
     """Thresholds on c and d; rationally computable fields stay exact for exact input.
 
     Exact input is read on its lattice point only, with no Fraction arithmetic.
+    With c strictly inside (C2, C1), off C0, the three d-roots are d - p(x) at
+    the stationary points x of p; a single one is the float d-cubic's root.
     Raises OverflowError when a float threshold would not be finite.
     """
     point, lam, sign = _sign_test(q, tol)
@@ -349,44 +353,22 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
             num = 9 * C - A * B
             dag = _value(num, denom, lam, 4)
             til = -A - 2 * dag if lam is None else _value(-A * denom - 2 * num, denom, lam, 4)
-    else:
+    elif s_b < 0 and s_band < 0:
         # three d-roots just where Delta3 = -K (c - C0)^2 [(c - C1)(c - C2)]^3 > 0:
-        # inside the band; the float d-cubic's roots are held to that count
-        three = s_b < 0 and s_band < 0
+        # inside the band.  There p has three stationary points x (a'^2 - 3b' of
+        # p'/4 is (3/16)(3a^2 - 8b) > 0), disc is a positive multiple of the
+        # product of the p(x), and so each d-root is d - p(x); an error in x
+        # moves it only to second order, as p'(x) = 0
+        qf = q.as_float()
+        kind, xs = _decided_values(qf.derivative_monic()[0], 1, True)
+        xs = xs if kind == "three" else (xs,) * 3  # "triple": floats cannot part them
+        coeffs = (qf.a, qf.b, qf.c, 0.0)
+        d_roots = tuple(sorted([-_horner(coeffs, x)[0] for x in xs], reverse=True))
+    else:
         d_cubic = Cubic(*map(float, abc))
-        kind, payload = _decided_values(d_cubic, tol.sign_terms(_gap_terms(d_cubic)), three)
-        if kind == "three":
-            d_roots = tuple(sorted(payload, reverse=True))
-        elif three:
-            exact = abc if lam is not None else _d_cubic(*map(Fraction, point[:3]))
-            d_roots = _crowded_d_roots(*exact) or (payload,) * 3
-        else:
-            d_roots = (payload,)
+        d_roots = (_decided_values(d_cubic, tol.sign_terms(_gap_terms(d_cubic)), False)[1],)
     _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
-
-
-def _crowded_d_roots(A: Fraction, B: Fraction, C: Fraction) -> Optional[Tuple[float, ...]]:
-    """The three roots, descending, of the d-cubic d^3 + A d^2 + B d + C with
-    rational coefficients, where they crowd too close for viete_values to part;
-    None when _isolated_roots fails.
-
-    The roots are bracketed by the roots (-A -+ sqrt(A^2 - 3B))/3 of the
-    derivative and by the bound -A/3 -+ (2/3) sqrt(A^2 - 3B) on the roots of a
-    cubic with three real ones.  The search runs in t = d - d0, for the float
-    d0 nearest -A/3, on coefficients shifted exactly: the float d-cubic's own
-    rounding can swamp its values between crowded roots.
-    """
-    gap = A * A - 3 * B  # unchanged by the shift
-    if gap <= 0:
-        return None
-    d0 = float(-A / 3)
-    x0 = Fraction(d0)
-    shifted = tuple(map(float, (A + 3 * x0, B + (2 * A + 3 * x0) * x0,
-                                C + (B + (A + x0) * x0) * x0)))
-    center, r = -shifted[0] / 3.0, math.sqrt(float(gap)) / 3.0
-    roots = _isolated_roots(shifted, 3, center, 2.0 * r, (center - r, center + r))
-    return None if roots is None else tuple(d0 + t for t in reversed(roots))
 
 
 def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):

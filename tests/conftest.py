@@ -118,6 +118,55 @@ def distinct_real_root_count(coeffs: Sequence[Fraction]) -> int:
     return changes(at_minus) - changes(at_plus)
 
 
+def _value(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in p:
+        total = total * x + c
+    return total
+
+
+def sign_changes(chain: List[List[Fraction]], x: Fraction) -> int:
+    """Sign changes of a Sturm chain at x, zeros dropped: the distinct roots in
+    (lo, hi] are sign_changes(chain, lo) - sign_changes(chain, hi)."""
+    signs = [v > 0 for v in (_value(p, x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def isolated_real_roots(coeffs: Sequence[Fraction], width: Fraction) -> List[Fraction]:
+    """The distinct real roots of a polynomial with Fraction coefficients,
+    descending, each as the midpoint of an interval no wider than width that
+    holds it alone.  Intervals are halved from Cauchy's bound until the
+    Sturm chain counts one root in each; one where the polynomial changes
+    sign is then halved on that sign alone, the rest on the chain."""
+    chain = sturm_chain(coeffs)
+    p = chain[0]
+    lead = Fraction(coeffs[0])
+    bound = 1 + max(abs(Fraction(c) / lead) for c in coeffs[1:])
+    roots, stack = [], [(-bound, sign_changes(chain, -bound), bound, sign_changes(chain, bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        count = v_lo - v_hi  # roots in (lo, hi]
+        if count == 1 and _value(p, lo) * _value(p, hi) < 0:
+            negative_at_lo = _value(p, lo) < 0
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                at_mid = _value(p, mid)
+                if at_mid == 0:
+                    lo = hi = mid
+                elif (at_mid < 0) == negative_at_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+        elif count == 1 and hi - lo <= width:
+            roots.append((lo + hi) / 2)
+        elif count:
+            mid = (lo + hi) / 2
+            v_mid = sign_changes(chain, mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return sorted(roots, reverse=True)
+
+
 @pytest.fixture
 def rng():
     import numpy as np

@@ -264,6 +264,20 @@ class TestVieteRoots:
         assert rs.complex_pairs == 1
         assert rs.values[0] == pytest.approx(1.0 - 2.0, abs=1e-12)  # 1 - cbrt(8)
 
+    def test_a_gap_sign_that_rounding_flips_is_a_degenerate_triangle(self):
+        # a^2 - 3b is 3e-30 exactly but -2.8e-14 in floats: the decided sign +1
+        # reads as 0, so no square root of the negative float gap is taken.
+        # Three real roots are the triple root -a/3, and one real root comes
+        # from the cube-root formula, off by the cube root of the float noise
+        # in c - a^3/27 (about 1e-14 |a|^3)
+        a = Fraction(-29, 3)
+        b = a * a / 3 - Fraction(1, 10 ** 30)
+        cu = Cubic(a, b, -2 * a ** 3 / 27 + a * b / 3)
+        assert float(a) ** 2 - 3.0 * float(b) < 0.0
+        assert cubic._decided_values(cu, 1, True) == ("triple", -float(a) / 3.0)
+        kind, x = cubic._decided_values(cu, 1, False)
+        assert kind == "one" and x == pytest.approx(float(-a / 3), rel=1e-4)
+
     @pytest.mark.parametrize("roots", [
         (-4.486306789057615, -4.5391132531659295, -4.5391132531659295),
         (2.4375, 2.4375, 2.457407069367669),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyclass import (
@@ -16,6 +16,7 @@ from polyclass import (
     Nature,
     Quartic,
     Tolerance,
+    admissible_d_range,
     classify_quartic,
     delta3,
     delta3_expanded,
@@ -24,6 +25,7 @@ from polyclass import (
     solve,
 )
 from polyclass import quartic as quartic_mod
+from polyclass.numeric import MIN_NORMAL
 from polyclass.poly import cubic_discriminant_terms
 from polyclass.quartic import NATURE_STRUCTURE
 
@@ -31,9 +33,18 @@ from conftest import (
     assert_roots_agree,
     distinct_real_root_count,
     eval_scale,
+    isolated_real_roots,
     quartic_coeffs_from_roots,
     root_gap_bound,
+    sign_changes,
+    sturm_chain,
 )
+
+#: 0 or 1e-3 <= |x| <= 3: the exact d-cubic of a tinier float carries ints of
+#: thousands of bits, which only slows its Sturm chain down
+_MODERATE = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+_B_NEAR = 3 * Fraction(-58, 5) ** 2 / 8 - Fraction(1, 10 ** 30)
 
 EX1 = Quartic(3.0, 2.0, -1.0, -0.95)
 EX2 = Quartic(-4.0, 5.0, -1.75, -0.2)
@@ -139,6 +150,68 @@ class TestThresholds:
         thr = quartic_thresholds(Quartic(Fraction(1), Fraction(-1), Fraction(0), Fraction(0)))
         assert isinstance(thr.c_mid, Fraction) and thr.c_mid == Fraction(-5, 8)
         assert all(isinstance(v, Fraction) for v in thr.abc)
+
+    @pytest.mark.parametrize("abc", [
+        # d2 - d3 is 5.1e-7 here and 1.1e-8 below: rounding the d-cubic's
+        # coefficients to floats moves its roots by more than that
+        (-2.309553368887812, 1.9882203585167098, -0.7567220644189119),
+        (-2.3096, 1.9882, -0.7567),
+    ])
+    def test_crowded_d_roots_hold_to_the_exact_roots(self, abc):
+        d_roots = quartic_thresholds(Quartic(*abc, 0.0)).d_roots
+        A, B, C = quartic_mod._d_cubic(*map(Fraction, abc))
+        exact = isolated_real_roots([1, A, B, C], Fraction(1, 10 ** 20))
+        assert len(d_roots) == len(exact) == 3
+        for d, e in zip(d_roots, exact):
+            assert abs(Fraction(d) - e) <= Fraction(1, 10 ** 15) * abs(e), (d, float(e))
+        [(lo, hi)] = admissible_d_range(*abc, Nature.FOUR_DISTINCT_REAL).intervals
+        assert lo < hi
+
+    @settings(max_examples=150, deadline=None)
+    @given(_MODERATE, st.floats(-9, 1), _MODERATE, _MODERATE, st.booleans())
+    def test_three_d_roots_match_the_exact_d_cubic(self, a, log_gap, u, c, inside):
+        # with ``inside``, 3a^2 - 8b = 10^log_gap and c sits at u/3 of the half band
+        # around C0: a small gap crowds the d-roots; otherwise (a, b, c) = (a, u, c)
+        if inside:
+            gap = 10.0 ** log_gap
+            b = (3 * a * a - gap) / 8
+            c = float(quartic_thresholds(Quartic(a, b, 0.0, 0.0)).c_mid)
+            c += u / 3.0 * math.sqrt(3.0) / 72.0 * math.sqrt(gap ** 3)
+        else:
+            b = u
+        q = Quartic(a, b, c, 0.0)
+        # three d-roots: b < 3a^2/8, c != C0 and c strictly inside (C2, C1)
+        s_b, s_c0, s_band = (cmp.sign for cmp in classify_quartic(q).comparisons[:3])
+        assume(s_b < 0 and s_c0 != 0 and s_band < 0)
+        d_roots = quartic_thresholds(q).d_roots
+        A, B, C = quartic_mod._d_cubic(*map(Fraction, (a, b, c)))
+        tol = Fraction(1e-14) * max(1, abs(d_roots[0]), abs(d_roots[2]))
+        exact = isolated_real_roots([1, A, B, C], tol / 16)
+        assert len(exact) == 3
+        for d, e in zip(d_roots, exact):
+            assert abs(Fraction(d) - e) <= tol - tol / 16, (d, float(e))
+
+    @pytest.mark.parametrize("a, b, c", [
+        # a'^2 - 3b' of p'/4 is 5.6e-241, and its 3/2 power underflows
+        (Fraction(1, 10 ** 120), Fraction(0), -Fraction(1, 10 ** 360) / 16),
+        # 3a^2 - 8b is 8e-30, but a'^2 - 3b' rounds to -1.4e-14 in floats
+        (Fraction(-58, 5), _B_NEAR, -Fraction(-58, 5) ** 3 / 8 + Fraction(-29, 5) * _B_NEAR
+         + Fraction(1, 10 ** 50)),
+    ])
+    def test_three_d_roots_where_the_stationary_points_meet_in_floats(self, a, b, c):
+        # exact input inside the band: the band test reads < 0, so there are three
+        # d-roots, but as far as floats tell p has one (triple) stationary point
+        q = Quartic(a, b, c, Fraction(0))
+        signs = [cmp.sign for cmp in classify_quartic(q).comparisons[:3]]
+        assert signs == [-1, 1, -1]  # b < 3a^2/8, c > C0, inside (C2, C1)
+        d_roots = quartic_thresholds(q).d_roots
+        assert len(d_roots) == 3 and len(set(d_roots)) == 1
+        # all three roots of the exact d-cubic lie within 1e-14 max(1, |d|) of it
+        chain = sturm_chain([1, *quartic_mod._d_cubic(a, b, c)])
+        d = Fraction(d_roots[0])
+        tol = Fraction(1, 10 ** 14) * max(1, abs(d))
+        assert distinct_real_root_count(chain[0]) == 3
+        assert sign_changes(chain, d - tol) - sign_changes(chain, d + tol) == 3
 
 
 class TestDelta3:
@@ -700,12 +773,19 @@ def test_coefficient_predicates_are_weighted_homogeneous(coeffs, lam):
 
 
 def _reference_compare(tol, terms):
-    """The exact comparison as a sum of Fraction terms, converted to float."""
+    """The exact comparison as a sum of Fraction terms, converted to float; the
+    margin is value / (eps * max(max |float(t)|, MIN_NORMAL)), +-inf or 0 when
+    that denominator is 0."""
     total = sum(terms)
     value = float(total)
     scale = max((abs(float(t)) for t in terms), default=0.0)
     s = (total > 0) - (total < 0)
-    return s, value, tol.margin(value, scale), s == 0
+    denom = tol.eps * max(scale, MIN_NORMAL)
+    if denom == 0.0:
+        margin = math.inf if value > 0 else (-math.inf if value < 0 else 0.0)
+    else:
+        margin = value / denom
+    return s, value, margin, s == 0
 
 
 def _reference_d_cubic_terms(name, q):

@@ -108,9 +108,11 @@ class TestAdmissibleD:
         assert hi == pytest.approx(-0.9288, abs=5e-5)
 
     def test_four_distinct_window_where_the_d_roots_crowd(self):
-        # c inside the band and b near 3a^2/8: the d-cubic's A^2 - 3B reads zero
-        # within the tolerance, so viete_values gives one d-root; unpacking three
-        # of them failed, and then the window shrank to that one point
+        # c inside the band and b near 3a^2/8: the three d-roots, near 9915, lie
+        # 0.09 and 0.23 apart, so the d-cubic's A^2 - 3B is 9e-11 A^2 and reads zero
+        # within the tolerance.  Its own formulas see one d-root there, and the
+        # window would shrink to a point.  The stationary points of p (9.4, 9.9
+        # and 10.7) stand well apart, and p there parts the three d-roots
         a, b, c = -40.0, 599.1307665254511, -3982.7914159326765
         adm = admissible_d_range(a, b, c, Nature.FOUR_DISTINCT_REAL)
         [(lo, hi)] = adm.intervals
