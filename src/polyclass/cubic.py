@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
-from .numeric import _OVERFLOW, DEFAULT_TOL, Comparison, Tolerance, sum_terms
+from .numeric import _OVERFLOW, DEFAULT_TOL, Comparison, Tolerance, _recorded, _sign_test, sum_terms
 from .poly import Cubic, RootSet, cubic_discriminant_terms, root_set_from_values
 
 SQRT3 = math.sqrt(3.0)
@@ -65,7 +66,9 @@ class CubicClassification:
 
 # --- the three sign predicates: terms whose sum has the sign of one comparison -------
 # the discriminant (positive iff c lies strictly inside (c2, c1)) is
-# poly.cubic_discriminant_terms
+# poly.cubic_discriminant_terms; a _Point holds floats or a lattice point's ints
+_Point = namedtuple("_Point", "a b c")
+
 
 def _gap_terms(cu):
     # a^2 - 3b: positive iff the cubic has two distinct critical points
@@ -83,55 +86,62 @@ def _acos_numerator_terms(a, b, c):
     return (2 * a ** 3, -9 * a * b, 27 * c)
 
 
+#: comparison name -> (terms at a Cubic or _Point, weight w), as quartic._COMPARISONS
+_COMPARISONS = {
+    "a2_vs_3b": (_gap_terms, 2),
+    "c_band_via_disc": (cubic_discriminant_terms, 6),
+    "c_vs_a3_over_27": (_triple_terms, 3),
+}
+
+
+def _cascade(sign) -> CubicKind:
+    """The cubic's decision tree, written once; ``sign(name)`` answers one
+    comparison of _COMPARISONS with -1, 0 or 1, and a path asks each once."""
+    s2_sign = sign("a2_vs_3b")
+    if s2_sign > 0:
+        disc_sign = sign("c_band_via_disc")
+        if disc_sign >= 0:
+            return (CubicKind.THREE_DISTINCT_REAL if disc_sign > 0
+                    else CubicKind.DOUBLE_PLUS_SINGLE)
+    elif s2_sign == 0 and sign("c_vs_a3_over_27") == 0:
+        # degenerate triangle; triple root only if c sits exactly at a^3/27
+        return CubicKind.TRIPLE_REAL
+    return CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+
+
 def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassification:
     """Root-nature verdict from coefficient sign tests alone.
 
     Each predicate (a^2 - 3b, the discriminant, c against a^3/27) is tested
     at most once and recorded in ``comparisons``; the thresholds and the
-    triangle are built from those decisions.
+    triangle are built from those decisions.  Exact input is tested on its
+    integer lattice point (numeric._lattice), with no Fraction arithmetic.
     """
-    comparisons: List[Comparison] = []
-
-    def sign(name: str, terms) -> int:
-        cmp = Comparison(name, *tol.compare_terms(terms))
-        comparisons.append(cmp)
-        return cmp.sign
-
-    kind, thresholds, triangle = CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR, None, None
-    s2_sign = sign("a2_vs_3b", _gap_terms(cu))
-    if s2_sign > 0:
-        disc_sign = sign("c_band_via_disc", cubic_discriminant_terms(cu))
+    kind, comparisons = _recorded(_cascade, _COMPARISONS, Cubic._values(cu), _Point, tol)
+    thresholds = triangle = None
+    if comparisons[0].sign > 0:
         a, b = float(cu.a), float(cu.b)
-        s2 = a * a - 3.0 * b
+        # a^2 - 3b as its comparison's value: a float sum, or the exact gap
+        # rounded once, which keeps the decided sign
+        s2 = comparisons[0].value
         c0 = -sum_terms(_acos_numerator_terms(a, b, 0.0)) / 27.0
         half = 2.0 / 27.0 * math.sqrt(s2 ** 3)
         thresholds = CubicThresholds(c0=c0, c1=c0 + half, c2=c0 - half)
-        if disc_sign >= 0:
-            kind = (CubicKind.THREE_DISTINCT_REAL if disc_sign > 0
-                    else CubicKind.DOUBLE_PLUS_SINGLE)
-            try:
-                triangle = _triangle(a, b, float(cu.c), s2)
-            except NoTriangle:
-                # (a^2 - 3b)^(3/2) underflows: no arccos argument to rotate by
-                triangle = None
-    elif s2_sign == 0 and sign("c_vs_a3_over_27", _triple_terms(cu)) == 0:
-        # degenerate triangle; triple root only if c sits exactly at a^3/27
-        kind = CubicKind.TRIPLE_REAL
+        # no triangle where (a^2 - 3b)^(3/2) underflows: no arccos argument to rotate by
+        if kind is not CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR and math.sqrt(s2) ** 3 > 0.0:
+            triangle = _triangle(a, b, float(cu.c), s2)
     return CubicClassification(kind, thresholds, triangle, tuple(comparisons))
 
 
 def _acos_argument(a: float, b: float, c: float, s2: float) -> float:
     """The arccos argument w = -27 (c - c0) / (2 (a^2 - 3b)^(3/2)) of the
-    trigonometric roots, for s2 = a^2 - 3b > 0.
+    trigonometric roots, for s2 = a^2 - 3b with a nonzero float (s2)^(3/2).
 
     |w| <= 1 just where the discriminant is >= 0, but w is not tested here:
     the discriminant's sign decides, and w is only evaluated.
     """
-    denom = 2.0 * math.sqrt(s2) ** 3
-    if denom == 0.0:
-        raise NoTriangle("a^2 - 3b below floating-point resolution")
     t1, t2, t3 = _acos_numerator_terms(a, b, c)
-    return -(t1 + t2 + t3) / denom
+    return -(t1 + t2 + t3) / (2.0 * math.sqrt(s2) ** 3)
 
 
 def _angle(w: float) -> float:
@@ -175,21 +185,23 @@ def _triangle(a: float, b: float, c: float, s2: float) -> TriangleData:
 
 
 def viete_values(cu: Cubic, tol: Tolerance = DEFAULT_TOL):
-    """Raw trigonometric root values for the count of real roots that
-    classify_cubic's sign tests decide (a^2 - 3b, then the discriminant or
-    c against a^3/27).
+    """Raw trigonometric root values for the count of real roots that _cascade
+    decides, by unrecorded sign tests on cu itself: quartic reports read these
+    on every float p', where a lattice point would only cost time.
 
     Returns ``("three", [x1, x2, x3])`` in descending order x1 >= x2 >= x3
     for three real roots, ``("triple", x)`` for a triple root x, otherwise
     ``("one", x)`` where x is the single real root.  Raises OverflowError
     when a sign test overflows.
     """
-    s2_sign = tol.sign_terms(_gap_terms(cu))
-    if s2_sign > 0:
-        three = tol.sign_terms(cubic_discriminant_terms(cu)) >= 0
-    else:
-        three = s2_sign == 0 and tol.sign_terms(_triple_terms(cu)) == 0
-    return _decided_values(cu, s2_sign, three)
+    signs = []
+
+    def sign(name: str) -> int:
+        signs.append(tol.sign_terms(_COMPARISONS[name][0](cu)))
+        return signs[-1]
+
+    one = _cascade(sign) is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+    return _decided_values(cu, signs[0], not one)
 
 
 def _decided_values(cu: Cubic, s2_sign: int, three: bool):
@@ -216,16 +228,18 @@ def _decided_values(cu: Cubic, s2_sign: int, three: bool):
         w = math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w)
     elif three:
         return "triple", third
-    elif s2_sign == 0:
-        shift = c - a ** 3 / 27.0
-        return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
-    else:
+    elif s2_sign < 0:
         # mirrored formulas: inverted radical signs, and the product relation
         # flips the arccos argument sign as well
         s = cmath.sqrt(complex(s2))
         w = sum_terms(_acos_numerator_terms(a, b, c)) / (2.0 * s ** 3)
         amp = -(2.0 / 3.0 * s)
-    return "one", _single_real(third, amp, w)
+    if s2_sign and cmath.isfinite(w):
+        return "one", _single_real(third, amp, w)
+    # a^2 - 3b is 0, or |w| > 1e308 as 2|a^2 - 3b|^(3/2) is subnormal: then
+    # c - c0 so outweighs a^2 - 3b that the cube-root formula is exact to rounding
+    shift = c - a ** 3 / 27.0
+    return "one", third - math.copysign(abs(shift) ** (1.0 / 3.0), shift)
 
 
 def _single_real(third, amp, w) -> float:
@@ -272,15 +286,16 @@ def _verdict_roots(cu: Cubic, cls: CubicClassification) -> RootSet:
 def rotation_angle(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> float:
     """Triangle rotation angle in [0, pi/3]; 0 at c=c2, pi/6 at c=c0, pi/3 at c=c1.
 
-    Raises OutOfRange when a^2 - 3b > 0 but the discriminant reads < 0.
+    It is classify_cubic's triangle.theta.  Raises OutOfRange when a^2 - 3b > 0
+    but the discriminant reads < 0, else NoTriangle when there is no triangle.
     """
-    a, b, c = float(cu.a), float(cu.b), float(cu.c)
-    s2 = a * a - 3.0 * b
-    if tol.sign_terms(_gap_terms(cu)) <= 0:
-        raise NoTriangle(f"a^2 - 3b = {s2:.6g} <= 0")
-    if tol.sign_terms(cubic_discriminant_terms(cu)) < 0:
-        raise OutOfRange(f"the discriminant reads < 0: free term c = {c:.6g} outside the band")
-    return _angle(_acos_argument(a, b, c, s2))
+    cls = classify_cubic(cu, tol)
+    if cls.thresholds is not None and cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR:
+        raise OutOfRange(f"the discriminant reads < 0: free term c = {float(cu.c):.6g} "
+                         "outside the band")
+    if cls.triangle is None:
+        raise NoTriangle(f"no vertex triangle: {cls.kind.value}")
+    return cls.triangle.theta
 
 
 def triangle_data(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> TriangleData:
@@ -307,7 +322,8 @@ def cubic_isolation_intervals(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicI
 def _isolation(cu: Cubic, tri: TriangleData, tol: Tolerance) -> CubicIsolation:
     """The isolation intervals from the cubic's vertex triangle."""
     third = tri.centroid_x
-    if tol.sign_terms(_acos_numerator_terms(cu.a, cu.b, cu.c)) <= 0:
+    point, _, sign = _sign_test(Cubic._values(cu), _Point, tol)
+    if sign(_acos_numerator_terms(*point)) <= 0:
         intervals = (
             (tri.nu3, tri.mu2),
             (tri.mu2, third),

@@ -4,6 +4,11 @@ All threshold decisions in the library reduce to the sign of a polynomial
 expression in the input coefficients, given as a list of monomial terms.
 ``Tolerance`` states the float sign rule; with ``fractions.Fraction``
 coefficients the same tests are exact and the tolerance is ignored.
+
+The cubic and the quartic are each a table of weighted-homogeneous
+predicates, ``{name: (terms, weight)}``, and one decision tree over it.
+Exact input is tested on its integer lattice point (``_lattice``), with no
+Fraction arithmetic; ``_recorded`` walks a tree and records each comparison.
 """
 
 from __future__ import annotations
@@ -165,6 +170,63 @@ def _compare_exact(tol: Tolerance, total, largest, den: int = 1) -> Tuple[int, f
         value, scale = total / den, largest / den
     s = (total > 0) - (total < 0)
     return s, value, tol.margin(value, scale), s == 0
+
+
+def _lattice(values, point):
+    """For rational coefficients values = (a, b, c, ...), the ints
+    point(la, l^2 b, l^3 c, ...) and l, four times the lcm of the denominators;
+    None for float values.
+
+    Every predicate is weighted-homogeneous, so its sign at the values is its
+    sign at the lattice point, and its terms there are ints.  The factor 4
+    makes the quartic's d-cubic A, B, C integers there too (quartic._d_cubic).
+    """
+    if type(values[0]) is float:  # a polynomial holds all floats or all Fractions
+        return None
+    lam = 4 * math.lcm(*(v.denominator for v in values))
+    ints, power = [], 1
+    for v in values:
+        power *= lam
+        ints.append(v.numerator * (power // v.denominator))
+    return point(*ints), lam
+
+
+def _int_sign(terms) -> int:
+    total = sum(terms)
+    return (total > 0) - (total < 0)
+
+
+def _sign_test(values, point, tol: Tolerance):
+    """(at, l, sign): the lattice point and l of rational values, else
+    point(*values) and None.  ``sign(terms(at))`` is the sign at the values of
+    the weighted-homogeneous predicate ``terms``, exact on the lattice and
+    tolerance-guarded for floats."""
+    lattice = _lattice(values, point)
+    if lattice is not None:
+        return (*lattice, _int_sign)
+    return point(*values), None, tol.sign_terms
+
+
+def _recorded(cascade, table, values, point, tol: Tolerance):
+    """(cascade(sign), comparisons), where ``sign(name)`` makes and records the
+    comparison ``table[name] = (terms, weight)`` at the coefficients values, on
+    the point of _sign_test.  A lattice term of weight w is l^w times the term
+    at the values, so value and margin are theirs, bit for bit."""
+    at, lam, _ = _sign_test(values, point, tol)
+    comparisons = []
+
+    def sign(name: str) -> int:
+        predicate, weight = table[name]
+        terms = predicate(at)
+        if lam is None:
+            cmp = Comparison(name, *tol.compare_terms(terms))
+        else:
+            cmp = Comparison(name, *_compare_exact(
+                tol, sum(terms), max(map(abs, terms)), lam ** weight))
+        comparisons.append(cmp)
+        return cmp.sign
+
+    return cascade(sign), comparisons
 
 
 def sort_key_complex(z: complex):

@@ -24,7 +24,8 @@ from .numeric import (
     Comparison,
     Number,
     Tolerance,
-    _compare_exact,
+    _recorded,
+    _sign_test,
     sum_terms,
 )
 from .oracle import _eval_noise, solve
@@ -88,7 +89,8 @@ class QuarticThresholds:
 
     For exact input the fields that are rational functions of the coefficients
     (c_mid, abc, d_dagger, d_tilde and a triple d-root) are Fractions, each made
-    once from integers of the lattice point (see _lattice); the rest are floats.
+    once from integers of the lattice point (see numeric._lattice); the rest are
+    floats.
     Three d_roots are d - p(x) = -(x^4 + a x^3 + b x^2 + c x) at the stationary
     points x of p; a single one is the real root of the float d-cubic.
     """
@@ -200,8 +202,9 @@ def _d_cubic(a, b, c):
 
     Every division is by a power of two, 2^k.  256 (A, B, C) have integer
     coefficients (256A = -27a^4 + 144a^2 b - 192ac - 128b^2), so on a lattice point
-    (ints, carrying the factors 4, 16, 64 of _lattice) each quotient below is an
-    integer, which >> k takes exactly.  Floats, float arrays and Fractions divide.
+    (ints, carrying the factors 4, 16, 64 of numeric._lattice) each quotient below
+    is an integer, which >> k takes exactly.  Floats, float arrays and Fractions
+    divide.
     """
     a2, b2, c2, a3, b3, c3, a4, b4, c4 = _powers(a, b, c)
     div = rshift if type(a) is int else _div
@@ -234,47 +237,11 @@ _COMPARISONS = {
     "d_vs_d_dagger": (_d_vs_dagger_terms, 12),
 }
 _ON_COEFFS = {name: terms for name, (terms, _) in _COMPARISONS.items()}
-_WEIGHT = {name: w for name, (_, w) in _COMPARISONS.items()}
-
-
-def _lattice(q: Quartic):
-    """For a Fraction q, the ints (la, l^2 b, l^3 c, l^4 d) and l, four times the
-    lcm of the denominators; None for a float q.
-
-    Every predicate is weighted-homogeneous, so its sign at q is its sign at the
-    lattice point, and its terms there are ints.  The factor 4 makes the
-    d-cubic's A, B, C integers there too (see _d_cubic).
-    """
-    if type(q.a) is float:  # a Quartic holds all floats or all Fractions
-        return None
-    coeffs = (q.a, q.b, q.c, q.d)
-    lam = 4 * math.lcm(*(v.denominator for v in coeffs))
-    ints, power = [], 1
-    for v in coeffs:
-        power *= lam
-        ints.append(v.numerator * (power // v.denominator))
-    return _Coeffs(*ints), lam
-
-
-def _int_sign(terms) -> int:
-    total = sum(terms)
-    return (total > 0) - (total < 0)
-
-
-def _sign_test(q: Quartic, tol: Tolerance):
-    """(point, l, sign): the lattice point and l of an all-rational q, else q's
-    coefficients and None.  ``sign(terms(point))`` is the sign at q of the
-    predicate ``terms`` (a function in _ON_COEFFS), exact on the lattice and
-    tolerance-guarded for floats."""
-    lattice = _lattice(q)
-    if lattice is not None:
-        return (*lattice, _int_sign)
-    return _Coeffs(q.a, q.b, q.c, q.d), None, tol.sign_terms
 
 
 def _value(x, k, lam, w: int):
     """x / k at q, for a quantity of weight w that x / k gives at the point of
-    _sign_test(q): a Fraction on the lattice (lam), else x / k."""
+    _sign_test: a Fraction on the lattice (lam), else x / k."""
     return x / k if lam is None else Fraction(x, k * lam ** w)
 
 
@@ -335,7 +302,7 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
     the stationary points x of p; a single one is the float d-cubic's root.
     Raises OverflowError when a float threshold would not be finite.
     """
-    point, lam, sign = _sign_test(q, tol)
+    point, lam, sign = _sign_test(Quartic._values(q), _Coeffs, tol)
     A, B, C = point.d_cubic
     abc = (A, B, C) if lam is None else (
         Fraction(A, lam ** 4), Fraction(B, lam ** 8), Fraction(C, lam ** 12))
@@ -524,20 +491,7 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     One tolerance snapshot drives every comparison of a call; with Fraction
     coefficients all decisions are exact.
     """
-    comparisons: List[Comparison] = []
-    point, lam, _ = _sign_test(q, tol)
-
-    def sign(name: str) -> int:
-        terms = _ON_COEFFS[name](point)
-        if lam is None:
-            cmp = Comparison(name, *tol.compare_terms(terms))
-        else:
-            cmp = Comparison(name, *_compare_exact(
-                tol, sum(terms), max(map(abs, terms)), lam ** _WEIGHT[name]))
-        comparisons.append(cmp)
-        return cmp.sign
-
-    case = _cascade(sign)
+    case, comparisons = _recorded(_cascade, _COMPARISONS, Quartic._values(q), _Coeffs, tol)
     nature, position = _CASE_TO_NATURE[case]
     closed = None
     if nature in _ZERO_DISC_NATURES:

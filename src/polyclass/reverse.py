@@ -20,12 +20,13 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
-from .numeric import DEFAULT_TOL, Number, Tolerance
+from .numeric import DEFAULT_TOL, Number, Tolerance, _sign_test
 from .poly import Quartic
 from .quartic import (
     NATURE_STRUCTURE,
     DoublePairPosition,
     Nature,
+    _Coeffs,
     _b_gap,
     _b_terms,
     _band_terms,
@@ -33,7 +34,6 @@ from .quartic import (
     _c_mid,
     _c_thresholds,
     _pair_position,
-    _sign_test,
     classify_quartic,
     quartic_thresholds,
 )
@@ -93,7 +93,7 @@ def admissible_c_range(a, b, nature: Nature,
     q0 = Quartic(a, b, 0, 0)
     if NATURE_STRUCTURE[nature][0] < 4:
         return Admissible(intervals=((None, None),))
-    point, lam, sign = _sign_test(q0, tol)
+    point, lam, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
     s_b = sign(_b_terms(point))
     if nature is Nature.QUADRUPLE_ROOT:
         if s_b != 0:
@@ -125,7 +125,7 @@ def admissible_d_range(a, b, c, nature: Nature,
     """Admissible free terms once a, b, c are fixed."""
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
-    point, _, sign = _sign_test(q0, tol)
+    point, _, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
     s_b_rel, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
     # the band [C2, C1] exists only below b = 3a^2/8
     s_band = sign(_band_terms(point)) if s_b_rel < 0 else 1

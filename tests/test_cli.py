@@ -128,10 +128,31 @@ class TestClassifyCommand:
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
     def test_cubic_overflow_is_an_error_report(self, capsys):
-        # 27c overflows the arccos argument: the trigonometric root is not finite
-        code, out, _ = run(capsys, "classify", "--cubic", "0", "1", "1e307", "--json")
+        # 27c^2 overflows the discriminant, which decides the count of real roots
+        code, out, _ = run(capsys, "classify", "--cubic", "0", "-1", "1e307", "--json")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "OverflowError"
+
+    def test_subnormal_critical_gap_of_the_d_cubic_is_no_overflow(self, capsys):
+        # the d-cubic's A^2 - 3B is -5.7e-212, whose 3/2 power is subnormal: the
+        # arccos argument overflows, and the cube-root formula gives the d-root
+        code, out, _ = run(capsys, "classify", "--quartic", "0", "3.4039005534695046e-212",
+                           "1", "0", "--json")
+        data = json.loads(out)
+        assert code == 0 and data["classification"]["case"] == "iii"
+        assert data["thresholds"]["d_roots"] == [pytest.approx((27 / 256) ** (1 / 3), rel=1e-15)]
+
+    def test_exact_critical_gap_below_float_resolution(self, capsys):
+        # a^2 - 3b is 1e-30 exactly but rounds below 0 in floats: the band is
+        # built from the exact gap rounded once, which keeps its decided sign
+        b = Fraction(841, 27) - Fraction(1, 10 ** 30)
+        code, out, _ = run(capsys, "classify", "--cubic", "-29/3", str(b), "0",
+                           "--exact", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["classification"]["kind"] == "one_real_plus_complex_pair"
+        assert data["audit"][0]["name"] == "a2_vs_3b" and data["audit"][0]["value"] > 0
+        assert [(r["value"], r["multiplicity"]) for r in data["roots"]] == [(0.0, 1)]
 
     @pytest.mark.parametrize("coeffs", [
         ("0", "1", "0"), ("-3", "4", "-1"), ("0", "2", "0"),

@@ -14,6 +14,7 @@ from polyclass import (
     NoTriangle,
     OutOfRange,
     Quartic,
+    Tolerance,
     classify_cubic,
     cubic_isolation_intervals,
     rotation_angle,
@@ -26,6 +27,12 @@ from polyclass import cli, cubic, numeric, quartic
 from polyclass.cubic import viete_values
 
 from conftest import cubic_coeffs_from_roots, near_double_cubic_coeffs
+from test_quartic import (
+    _FRACTION_ARITHMETIC,
+    _reference_compare,
+    coefficient_fractions,
+    small_roots,
+)
 
 C1_SYMMETRIC = 2.0 / 27.0 * math.sqrt(27.0)  # thresholds of x^3 - x + c
 
@@ -106,10 +113,24 @@ class TestComparisons:
     """classify_cubic tests each predicate once; the readers reuse its decisions."""
 
     def test_each_decision_is_recorded_once(self, sign_tests):
-        cls = classify_cubic(Cubic(0, -3, 1))
+        cls = classify_cubic(Cubic(0.0, -3.0, 1.0))
         names = [c.name for c in cls.comparisons]
         assert names == ["a2_vs_3b", "c_band_via_disc"]
         assert sign_tests == ["compare_terms", "compare_terms"]
+
+    def test_exact_decisions_are_made_on_the_lattice(self, sign_tests, monkeypatch):
+        # exact input is tested on ints: no Tolerance call, no Fraction arithmetic
+        cu = Cubic(-3, 2, Fraction(1, 3))
+        calls = []
+        for name in _FRACTION_ARITHMETIC:
+            original = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        cls = classify_cubic(cu)
+        assert calls == [] and sign_tests == []
+        monkeypatch.undo()
+        assert [c.name for c in cls.comparisons] == ["a2_vs_3b", "c_band_via_disc"]
+        assert cls.kind is CubicKind.THREE_DISTINCT_REAL
 
     @pytest.mark.parametrize("coeffs, names", [
         ((0, 1, 0), ["a2_vs_3b"]),
@@ -123,7 +144,7 @@ class TestComparisons:
         assert cls.comparisons[-1].fragile == (cls.kind is CubicKind.TRIPLE_REAL)
 
     def test_isolation_reads_the_classification(self, sign_tests):
-        cu = Cubic(0, -3, 1)
+        cu = Cubic(0.0, -3.0, 1.0)
         classify_cubic(cu)
         cubic_isolation_intervals(cu)
         # two classifications and the low/high branch test (12 when each
@@ -145,6 +166,61 @@ class TestComparisons:
         # margin are floats: compare_terms refuses, as in classify_quartic
         with pytest.raises(OverflowError):
             classify_cubic(Cubic(Fraction(0), Fraction(10 ** 400), Fraction(0)))
+
+
+@st.composite
+def rational_cubics(draw):
+    """Rational cubics on and off the strata, weighted-scaled by 2^k."""
+    kind = draw(st.sampled_from(["coefficients", "roots", "flat"]))
+    if kind == "coefficients":
+        a, b, c = (draw(coefficient_fractions) for _ in range(3))
+    elif kind == "roots":  # repeated rational roots: double and triple roots
+        r1 = draw(small_roots)
+        r2 = draw(st.sampled_from([r1, draw(small_roots)]))
+        r3 = draw(st.sampled_from([r1, r2, draw(small_roots)]))
+        a, b, c = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+    else:  # a^2 = 3b: a triple root at c = a^3/27, else one real root
+        a = draw(coefficient_fractions)
+        b = a * a / 3
+        c = draw(st.sampled_from([a ** 3 / 27, draw(coefficient_fractions)]))
+    lam = Fraction(2) ** draw(st.integers(-40, 40))
+    return Cubic(lam * a, lam ** 2 * b, lam ** 3 * c)
+
+
+def _reference_classify(cu, tol):
+    """Kind and comparisons of classify_cubic, every predicate on Fraction terms."""
+    out = []
+
+    def sign(name):
+        s, value, margin, fragile = _reference_compare(tol, cubic._COMPARISONS[name][0](cu))
+        out.append((name, value.hex(), margin.hex(), fragile))
+        return s
+
+    return cubic._cascade(sign), out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_cubics(), st.sampled_from([1e-9, 1e-6]))
+def test_lattice_verdict_equals_fraction_comparisons(cu, eps):
+    tol = Tolerance(eps)
+    kind, expected = _reference_classify(cu, tol)
+    cls = classify_cubic(cu, tol)
+    assert cls.kind is kind
+    got = [(c.name, c.value.hex(), c.margin_units.hex(), c.fragile) for c in cls.comparisons]
+    assert got == expected
+    # every reader holds to that verdict
+    assert (viete_values(cu, tol)[0] == "one") == (kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR)
+    three = kind in (CubicKind.THREE_DISTINCT_REAL, CubicKind.DOUBLE_PLUS_SINGLE)
+    assert (cls.triangle is not None) == three
+    if three:
+        assert triangle_data(cu, tol) == cls.triangle
+        assert rotation_angle(cu, tol) == cls.triangle.theta
+    else:
+        with pytest.raises(NoTriangle):
+            triangle_data(cu, tol)
+        # a band without three real roots: c lies outside it
+        with pytest.raises(OutOfRange if cls.thresholds is not None else NoTriangle):
+            rotation_angle(cu, tol)
 
 
 #: on these two the arccos argument w alone reads the other count of real
@@ -216,10 +292,13 @@ class TestVieteRoots:
         rs = viete_roots(Cubic(0.0, -1.0, 0.0))
         assert rs.values == pytest.approx((-1.0, 0.0, 1.0), abs=1e-12)
 
-    def test_overflowing_root_raises(self):
-        # 27c overflows the arccos argument: no NaN root may come back
-        with pytest.raises(OverflowError, match="overflow"):
-            viete_roots(Cubic(0.0, 1.0, 1e307))
+    def test_overflowing_arccos_argument_takes_the_cube_root(self):
+        # 27c overflows the arccos argument; c - c0 then so outweighs a^2 - 3b
+        # that the cube-root formula is exact to rounding, where the arccos
+        # form would give a NaN root
+        rs = viete_roots(Cubic(0.0, 1.0, 1e307))
+        assert rs.complex_pairs == 1
+        assert rs.roots == ((pytest.approx(-1e307 ** (1.0 / 3.0), rel=1e-15), 1),)
 
     @pytest.mark.parametrize("c", [1e307, -1e307])
     def test_overflowing_arccos_argument_keeps_the_one_real_branch(self, c):
@@ -277,6 +356,24 @@ class TestVieteRoots:
         assert cubic._decided_values(cu, 1, True) == ("triple", -float(a) / 3.0)
         kind, x = cubic._decided_values(cu, 1, False)
         assert kind == "one" and x == pytest.approx(float(-a / 3), rel=1e-4)
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1000), None])
+    def test_exact_gap_below_float_resolution_builds_band_and_roots(self, c):
+        # the same cubic: the band and the triangle take the exact gap 1e-30
+        # rounded once, so no square root of the negative float gap is taken
+        a = Fraction(-29, 3)
+        b = a * a / 3 - Fraction(1, 10 ** 30)
+        at_c0 = c is None  # strictly inside the band
+        cu = Cubic(a, b, -2 * a ** 3 / 27 + a * b / 3 if at_c0 else c)
+        cls = classify_cubic(cu)
+        assert cls.comparisons[0].sign == 1
+        thr = cls.thresholds
+        assert thr.c2 <= thr.c0 <= thr.c1
+        one = cls.kind is CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR
+        assert one != at_c0
+        assert (cls.triangle is None) == one
+        rs = viete_roots(cu)
+        assert (rs.real_count, rs.complex_pairs) == ((1, 1) if one else (3, 0))
 
     @pytest.mark.parametrize("roots", [
         (-4.486306789057615, -4.5391132531659295, -4.5391132531659295),

@@ -24,8 +24,9 @@ from polyclass import (
     quartic_thresholds,
     solve,
 )
+from polyclass import cubic as cubic_mod
 from polyclass import quartic as quartic_mod
-from polyclass.numeric import MIN_NORMAL
+from polyclass.numeric import MIN_NORMAL, _lattice
 from polyclass.poly import cubic_discriminant_terms
 from polyclass.quartic import NATURE_STRUCTURE
 
@@ -762,14 +763,15 @@ small_roots = st.sampled_from([Fraction(n, d) for n in range(-4, 5) for d in (1,
 @given(st.tuples(*[coefficient_fractions] * 4),
        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000))
 def test_coefficient_predicates_are_weighted_homogeneous(coeffs, lam):
-    assert set(quartic_mod._WEIGHT) == set(quartic_mod._ON_COEFFS)
-    assert {"d_vs_d_tilde", "d_vs_d_dagger"} <= set(quartic_mod._WEIGHT)
-    a, b, c, d = coeffs
-    q = quartic_mod._Coeffs(a, b, c, d)
-    scaled = quartic_mod._Coeffs(lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
-    for name, weight in quartic_mod._WEIGHT.items():
-        terms = quartic_mod._ON_COEFFS[name]
-        assert terms(scaled) == tuple(lam ** weight * t for t in terms(q)), name
+    assert {"d_vs_d_tilde", "d_vs_d_dagger"} <= set(quartic_mod._COMPARISONS)
+    # the cubic's table rides on the same lattice: its weights must hold too
+    for point, table in ((quartic_mod._Coeffs, quartic_mod._COMPARISONS),
+                         (cubic_mod._Point, cubic_mod._COMPARISONS)):
+        values = coeffs[:len(point._fields)]
+        q = point(*values)
+        scaled = point(*(lam ** w * v for w, v in enumerate(values, 1)))
+        for name, (terms, weight) in table.items():
+            assert terms(scaled) == tuple(lam ** weight * t for t in terms(q)), name
 
 
 def _reference_compare(tol, terms):
@@ -834,7 +836,7 @@ def rational_quartics(draw):
     lam = Fraction(2) ** draw(st.integers(-40, 40))
     coeffs = (lam * a, lam ** 2 * b, lam ** 3 * c, lam ** 4 * d)
     if draw(st.booleans()):  # the same quartic on its integer lattice point
-        point, _ = quartic_mod._lattice(Quartic(*coeffs))
+        point, _ = _lattice(Quartic._values(Quartic(*coeffs)), quartic_mod._Coeffs)
         coeffs = tuple(point)
     return Quartic(*coeffs)
 
@@ -856,8 +858,9 @@ def test_lattice_comparisons_equal_fraction_comparisons(q, eps):
 
 
 def test_lattice_of_mixed_or_float_quartics_is_none():
-    assert quartic_mod._lattice(Quartic(1.0, 2, 3, 4)) is None
-    point, lam = quartic_mod._lattice(Quartic(Fraction(1, 2), 1, Fraction(1, 3), 0))
+    assert _lattice(Quartic._values(Quartic(1.0, 2, 3, 4)), quartic_mod._Coeffs) is None
+    q = Quartic(Fraction(1, 2), 1, Fraction(1, 3), 0)
+    point, lam = _lattice(Quartic._values(q), quartic_mod._Coeffs)
     assert lam == 4 * 6  # the lcm of the denominators, times 4 for the d-cubic
     assert tuple(point) == (12, 576, 4608, 0)
 
