@@ -16,7 +16,16 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
-from .numeric import _OVERFLOW, DEFAULT_TOL, Comparison, Tolerance, _recorded, _sign_test, sum_terms
+from .numeric import (
+    _OVERFLOW,
+    DEFAULT_TOL,
+    Comparison,
+    Tolerance,
+    _lattice,
+    _recorded,
+    _sign_test,
+    sum_terms,
+)
 from .poly import Cubic, RootSet, cubic_discriminant_terms, root_set_from_values
 
 SQRT3 = math.sqrt(3.0)
@@ -129,19 +138,23 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
         thresholds = CubicThresholds(c0=c0, c1=c0 + half, c2=c0 - half)
         # no triangle where (a^2 - 3b)^(3/2) underflows: no arccos argument to rotate by
         if kind is not CubicKind.ONE_REAL_PLUS_COMPLEX_PAIR and math.sqrt(s2) ** 3 > 0.0:
-            triangle = _triangle(a, b, float(cu.c), s2)
+            num = sum_terms(_acos_numerator_terms(a, b, float(cu.c)))
+            if cu.is_exact:  # its numerator 27 (c - c0) likewise: exact, rounded once
+                at, lam = _lattice(Cubic._values(cu), _Point)
+                num = sum_terms(_acos_numerator_terms(*at)) / lam ** 3
+            triangle = _triangle(a, s2, num)
     return CubicClassification(kind, thresholds, triangle, tuple(comparisons))
 
 
-def _acos_argument(a: float, b: float, c: float, s2: float) -> float:
+def _acos_argument(num: float, s2: float) -> float:
     """The arccos argument w = -27 (c - c0) / (2 (a^2 - 3b)^(3/2)) of the
-    trigonometric roots, for s2 = a^2 - 3b with a nonzero float (s2)^(3/2).
+    trigonometric roots, for num = 27 (c - c0) and s2 = a^2 - 3b with a nonzero
+    float (s2)^(3/2).
 
     |w| <= 1 just where the discriminant is >= 0, but w is not tested here:
     the discriminant's sign decides, and w is only evaluated.
     """
-    t1, t2, t3 = _acos_numerator_terms(a, b, c)
-    return -(t1 + t2 + t3) / (2.0 * math.sqrt(s2) ** 3)
+    return -num / (2.0 * math.sqrt(s2) ** 3)
 
 
 def _angle(w: float) -> float:
@@ -158,11 +171,12 @@ def _three_roots(third, amp, theta, cos=math.cos):
     ]
 
 
-def _triangle(a: float, b: float, c: float, s2: float) -> TriangleData:
-    """The vertex triangle once a^2 - 3b > 0 and a discriminant >= 0 are decided."""
+def _triangle(a: float, s2: float, num: float) -> TriangleData:
+    """The vertex triangle once a^2 - 3b = s2 > 0 and a discriminant >= 0 are
+    decided; num is the arccos numerator 27 (c - c0)."""
     r = math.sqrt(s2) / 3.0
     third = -a / 3.0
-    theta = _angle(_acos_argument(a, b, c, s2))
+    theta = _angle(_acos_argument(num, s2))
     x1, x2, x3 = sorted(_three_roots(third, 2.0 / 3.0 * math.sqrt(s2), theta), reverse=True)
     return TriangleData(
         centroid_x=third,
@@ -222,7 +236,7 @@ def _decided_values(cu: Cubic, s2_sign: int, three: bool):
     third = -a / 3.0
     if s2_sign > 0:
         amp = 2.0 / 3.0 * math.sqrt(s2)
-        w = _acos_argument(a, b, c, s2)
+        w = _acos_argument(sum_terms(_acos_numerator_terms(a, b, c)), s2)
         if three:
             return "three", _three_roots(third, amp, _angle(w))
         w = math.copysign(max(abs(w), math.nextafter(1.0, 2.0)), w)

@@ -17,15 +17,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance, _sign_test
 from .poly import Quartic
 from .quartic import (
+    _CASE_TO_NATURE,
     NATURE_STRUCTURE,
     DoublePairPosition,
     Nature,
+    _cascade,
     _Coeffs,
     _b_gap,
     _b_terms,
@@ -91,10 +94,16 @@ def admissible_c_range(a, b, nature: Nature,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
     """Admissible linear coefficients once a and b are fixed."""
     q0 = Quartic(a, b, 0, 0)
-    if NATURE_STRUCTURE[nature][0] < 4:
+    if NATURE_STRUCTURE[nature][0] < 4 and nature is not Nature.TWO_EQUAL_REAL:
         return Admissible(intervals=((None, None),))
     point, lam, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
     s_b = sign(_b_terms(point))
+    if nature is Nature.TWO_EQUAL_REAL:
+        # no two-equal case has c = C0 unless b > 3a^2/8 (cases x-xii, xxv-xxix)
+        if s_b > 0:
+            return Admissible(intervals=((None, None),))
+        c_mid = _c_mid(point.a, point.b, lam)
+        return Admissible(intervals=((c_mid, None), (None, c_mid)))
     if nature is Nature.QUADRUPLE_ROOT:
         if s_b != 0:
             raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
@@ -122,75 +131,70 @@ def admissible_c_range(a, b, nature: Nature,
 def admissible_d_range(a, b, c, nature: Nature,
                        position: Optional[DoublePairPosition] = None,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
-    """Admissible free terms once a, b, c are fixed."""
+    """Admissible free terms once a, b, c are fixed: the cells and breaks of the
+    d-line, cut at the d-thresholds, where _cascade gives the target nature."""
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
     point, _, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
-    s_b_rel, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
-    # the band [C2, C1] exists only below b = 3a^2/8
-    s_band = sign(_band_terms(point)) if s_b_rel < 0 else 1
-    on_band_edge = s_band == 0
-    inside_band = s_band < 0
+    s_b, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
+    s_band = sign(_band_terms(point)) if s_b < 0 else None  # the band exists below 3a^2/8
+    # the breaks ascending, each named by the d-comparison that _cascade asks of it;
+    # the order comes from the region, as float thresholds can cross on a band edge
+    if s_c0 == 0 and s_b >= 0:
+        values = (thr.d_tilde,)
+        roles = ("d_vs_a4_over_256",) if s_b == 0 else ("d_vs_d_tilde",)
+    elif s_c0 == 0:
+        values, roles = (thr.d_tilde, thr.d_dagger), ("d_vs_d_tilde", "d_vs_d_dagger")
+    elif s_band == 0:
+        values, roles = (thr.d_dagger, thr.d_tilde), ("d_vs_d_dagger", "d_vs_d_tilde")
+    else:
+        values, roles = thr.d_roots[::-1], ("disc",) * len(thr.d_roots)
+    spans, points = _d_cells((s_b, s_c0, s_band), roles, nature, position)
+    if not spans and not points:
+        pair = f" with the {position.value} pair" if position else ""
+        raise Unachievable(f"no free term gives {nature.value}{pair} at this a, b, c")
+    cut = (None, *values, None).__getitem__
+    return Admissible(tuple(map(cut, spans)), tuple(map(cut, points)))
 
-    if nature is Nature.QUADRUPLE_ROOT:
-        if s_b_rel != 0 or s_c0 != 0:
-            raise Unachievable("a quadruple root needs b = 3a^2/8 and c = a^3/16")
-        return Admissible(points=(float(a) ** 4 / 256.0,))
 
-    if nature is Nature.TWO_DOUBLE_PAIRS:
-        if not (s_b_rel < 0 and s_c0 == 0):
-            raise Unachievable("two double pairs need b < 3a^2/8 and c = C0")
-        return Admissible(points=(thr.d_dagger,))
+@lru_cache(maxsize=None)
+def _d_cells(prefix, roles, nature: Nature, position: Optional[DoublePairPosition]):
+    """The cells and breaks where _cascade gives the nature, top down, as slices
+    and indices of (None, *breaks, None); prefix holds the signs of
+    b_vs_3a2_over_8, c_vs_C0 and c_band.  A position filters FOUR_REAL_DOUBLE_PAIR
+    only: the middle pair is cases xviii and xxviii, a lowest or highest one xvi.
 
-    if nature is Nature.TRIPLE_PLUS_SINGLE:
-        if not on_band_edge:
-            raise Unachievable("a triple root needs b < 3a^2/8 and c on a band edge C1/C2")
-        return Admissible(points=(thr.d_dagger,))
+    _cascade reads a canonical d-line with the breaks at r = 0, 2, 4, ..., the
+    cells at the odd r and at -1.  The discriminant there is r (r - 2) (r - 4)
+    (a single root of it is the break at 0, read only on [-1, 1]), its slope and
+    curvature the derivatives; any other d-comparison is r minus its break.
+    """
+    signs = dict(zip(("b_vs_3a2_over_8", "c_vs_C0", "c_band"), prefix))
+    at = {role: 2 * i for i, role in enumerate(roles)}
 
-    if nature is Nature.FOUR_DISTINCT_REAL:
-        if s_b_rel >= 0:
-            raise Unachievable("four distinct real roots need b < 3a^2/8")
-        if s_c0 == 0:
-            return Admissible(intervals=((thr.d_tilde, thr.d_dagger),))
-        if not inside_band:
-            raise Unachievable("four distinct real roots need C2 < c < C1")
-        d1, d2, d3 = thr.d_roots
-        return Admissible(intervals=((d3, d2),))
+    def sign(name: str, r: int) -> int:
+        if name in signs:
+            return signs[name]
+        if name in at:
+            x = r - at[name]
+        elif name == "disc_d_slope":
+            x = 3 * r * r - 12 * r + 8
+        elif name == "disc_d_curvature":
+            x = 6 * r - 12
+        else:  # the discriminant itself
+            x = r * (r - 2) * (r - 4)
+        return (x > 0) - (x < 0)
 
-    if nature is Nature.FOUR_REAL_DOUBLE_PAIR:
-        if s_b_rel >= 0:
-            raise Unachievable("a real double pair among four needs b < 3a^2/8")
-        if s_c0 == 0:
-            if position in (DoublePairPosition.LOWEST_TWO, DoublePairPosition.HIGHEST_TWO):
-                raise Unachievable("at c = C0 only the middle pair can be repeated")
-            return Admissible(points=(thr.d_tilde,))
-        if not inside_band:
-            raise Unachievable("a double pair among four needs C2 < c < C1")
-        d1, d2, d3 = thr.d_roots
-        if position is DoublePairPosition.MIDDLE_TWO:
-            return Admissible(points=(d3,))
-        if position in (DoublePairPosition.LOWEST_TWO, DoublePairPosition.HIGHEST_TWO):
-            return Admissible(points=(d2,))
-        return Admissible(points=(d2, d3))
-
-    # zero- and two-real natures: the largest d-root (d_tilde where the d-cubic
-    # has a repeated root) bounds them, except d_dagger at c = C0 below 3a^2/8
-    symmetric = s_b_rel < 0 and s_c0 == 0
-    top = thr.d_roots[0] if thr.d_roots else thr.d_tilde
-    if nature is Nature.NO_REAL:
-        return Admissible(intervals=((thr.d_dagger if symmetric else top, None),))
-    if nature is Nature.TWO_EQUAL_REAL:
-        if symmetric:
-            raise Unachievable("no two-equal-real case at c = C0 with b < 3a^2/8")
-        return Admissible(points=(top,))
-    if nature is Nature.TWO_DISTINCT_REAL:
-        if inside_band and s_c0 != 0:
-            d1, d2, d3 = thr.d_roots
-            return Admissible(intervals=((d2, d1), (None, d3)))
-        if on_band_edge:
-            return Admissible(intervals=((thr.d_dagger, thr.d_tilde), (None, thr.d_dagger)))
-        return Admissible(intervals=((None, top),))
-    raise Unachievable(f"unsupported nature {nature!r}")
+    spans, points, middle = [], [], position is DoublePairPosition.MIDDLE_TWO
+    for r in range(2 * len(roles) - 1, -2, -1):
+        got, pos = _CASE_TO_NATURE[_cascade(lambda name: sign(name, r))]
+        if got is nature and (position is None or nature is not Nature.FOUR_REAL_DOUBLE_PAIR
+                              or (pos is not None) == middle):
+            if r % 2:
+                spans.append(slice((r + 1) // 2, (r + 5) // 2))
+            else:
+                points.append(r // 2 + 1)
+    return tuple(spans), tuple(points)
 
 
 # --- sampling -------------------------------------------------------------------

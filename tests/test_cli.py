@@ -334,6 +334,21 @@ class TestSynthesizeCommand:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "Unachievable"
 
+    def test_two_equal_picks_c_off_c0(self, capsys):
+        # b = 3a^2/8 = 0: no two-equal case has c = C0, so c is picked off it
+        code, out, _ = run(capsys, "synthesize", "--nature", "two-equal", "--a", "0",
+                           "--b", "0", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["classified"]["nature"] == "two_equal_real" and data["quartic"]["c"] != 0
+
+    def test_two_equal_on_the_quadruple_line_is_unachievable(self, capsys):
+        # b = 3a^2/8 and c = a^3/16: the d-line holds no two-equal case
+        code, out, _ = run(capsys, "synthesize", "--nature", "two-equal", "--a", "4",
+                           "--b", "6", "--c", "4", "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "Unachievable"
+
 
 class TestQuinticCommand:
     def test_monotone_example(self, capsys):

@@ -374,6 +374,14 @@ class TestVieteRoots:
         assert (cls.triangle is None) == one
         rs = viete_roots(cu)
         assert (rs.real_count, rs.complex_pairs) == ((1, 1) if one else (3, 0))
+        if at_c0:
+            # the arccos numerator 27 (c - c0) is exact too, rounded once: pi/6 at
+            # c0, and it turns with c inside the band, half-width 2/27 (3e-30)^(3/2)
+            assert cls.triangle.theta == pytest.approx(math.pi / 6, rel=1e-15)
+            for off in (Fraction(1, 10 ** 46), Fraction(-1, 10 ** 46)):
+                theta = classify_cubic(Cubic(a, b, cu.c + off)).triangle.theta
+                w = -27 * float(off) / (2 * 3e-30 ** 1.5)
+                assert theta == pytest.approx(math.acos(w) / 3, rel=1e-12)
 
     @pytest.mark.parametrize("roots", [
         (-4.486306789057615, -4.5391132531659295, -4.5391132531659295),

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from polyclass import (
     DoublePairPosition,
@@ -93,6 +95,16 @@ class TestAdmissibleC:
             (thr.c_lo, thr.c_hi),)
         assert admissible_c_range(a, b, Nature.TWO_DOUBLE_PAIRS).points == (thr.c_mid,)
 
+    @pytest.mark.parametrize("b", [0.0, -2.0, Fraction(0), Fraction(-2)])
+    def test_two_equal_leaves_out_c0_at_or_below_b_threshold(self, b):
+        # no two-equal case has c = C0 unless b > 3a^2/8 (cases x-xii, xxv-xxix):
+        # the c-line is cut there, and a pick off C0 round-trips
+        adm = admissible_c_range(0, b, Nature.TWO_EQUAL_REAL)
+        assert adm.intervals == ((0, None), (None, 0)) and adm.points == ()
+        q = synthesize(NatureTarget(Nature.TWO_EQUAL_REAL, a=0.0, b=float(b)))
+        assert q.c != 0 and classify_quartic(q).nature is Nature.TWO_EQUAL_REAL
+        assert admissible_c_range(0, 1, Nature.TWO_EQUAL_REAL).intervals == ((None, None),)
+
     def test_unachievable_without_triangle(self):
         with pytest.raises(Unachievable):
             admissible_c_range(0.0, 1.0, Nature.FOUR_DISTINCT_REAL)
@@ -149,6 +161,27 @@ class TestAdmissibleD:
         with pytest.raises(Unachievable):
             admissible_d_range(3.0, 2.0, -0.375, Nature.TWO_EQUAL_REAL)
 
+    @pytest.mark.parametrize("a, b, c", [(4.0, 6.0, 4.0), (Fraction(4), Fraction(6), Fraction(4))])
+    def test_no_two_equal_on_the_quadruple_line(self, a, b, c):
+        # b = 3a^2/8 and c = a^3/16: the d-line holds cases x-xii, with d0 = a^4/256
+        # the quadruple root, and no two-equal case
+        with pytest.raises(Unachievable, match="two_equal_real"):
+            admissible_d_range(a, b, c, Nature.TWO_EQUAL_REAL)
+        assert admissible_d_range(a, b, c, Nature.QUADRUPLE_ROOT).points == (1,)
+        assert admissible_d_range(a, b, c, Nature.NO_REAL).intervals == ((1, None),)
+        assert admissible_d_range(a, b, c, Nature.TWO_DISTINCT_REAL).intervals == ((None, 1),)
+
+    def test_crossed_float_thresholds_keep_the_band_edge_order(self):
+        # on this float band edge the d-cubic's A^2 - 3B cancels to 1.7e-7 of A^2,
+        # and the float d_dagger exceeds d_tilde, though exactly d_dagger < d_tilde:
+        # the cells keep the band edge's order, so the interval comes out inverted
+        a, b, c = 11.0, 45.3515625, 83.056640625
+        thr = quartic_thresholds(Quartic(a, b, c, 0.0))
+        assert thr.d_dagger > thr.d_tilde
+        adm = admissible_d_range(a, b, c, Nature.TWO_DISTINCT_REAL)
+        assert adm.intervals == ((thr.d_dagger, thr.d_tilde), (None, thr.d_dagger))
+        assert admissible_d_range(a, b, c, Nature.TRIPLE_PLUS_SINGLE).points == (thr.d_dagger,)
+
     def test_two_distinct_at_c0_above_b_threshold(self):
         # a = 0, b > 0, c = 0 puts c on C0 with one d-root, d_tilde, as bound
         adm = admissible_d_range(0.0, 1.0, 0.0, Nature.TWO_DISTINCT_REAL)
@@ -161,6 +194,75 @@ class TestAdmissibleD:
         assert len(adm.intervals) == 2
         (lo1, hi1), (lo2, hi2) = adm.intervals
         assert lo1 is not None and hi1 is not None and lo2 is None
+
+
+@st.composite
+def d_line_prefixes(draw):
+    """Rational (a, b, c) on every region of the d-line: b above, on or below
+    3a^2/8, the last with 3a^2 - 8b = 3t^2 so that the band edges C0 +- t^3/8
+    are rational; c at C0, on a band edge, strictly inside the band or outside."""
+    a = Fraction(draw(st.integers(-24, 24)), draw(st.sampled_from([1, 2, 3, 4])))
+    t = Fraction(draw(st.integers(1, 16)), draw(st.sampled_from([1, 2, 3])))
+    b = 3 * a * a / 8 + draw(st.sampled_from([Fraction(draw(st.integers(1, 40)), 4), 0,
+                                              -3 * t * t / 8]))
+    half = t ** 3 / 8 if b < 3 * a * a / 8 else 0  # half the band's width
+    c0 = -a ** 3 / 8 + a * b / 2
+    side = draw(st.sampled_from([-1, 1]))
+    off = draw(st.sampled_from([
+        0, half, Fraction(draw(st.integers(1, 99)), 100) * half,
+        half + Fraction(draw(st.integers(1, 40)), draw(st.sampled_from([1, 3])))]))
+    return a, b, c0 + side * off
+
+
+@settings(max_examples=200, deadline=None)
+@given(d_line_prefixes())
+@example((Fraction(4), Fraction(6), Fraction(4)))  # the quadruple line, no two-equal case
+@example((Fraction(0), Fraction(0), Fraction(0)))
+def test_d_line_agrees_with_the_exact_classifier(prefix):
+    """admissible_d_range on rational prefixes, against classify_quartic at rational
+    d: each returned piece reaches the target, and each sample that reaches it (a
+    rational threshold, a point inside each cell between thresholds) lies in a
+    returned piece, so Unachievable is raised just when no sample reaches it."""
+    a, b, c = prefix
+    thr = quartic_thresholds(Quartic(a, b, c, 0))
+    ends = sorted({d for d in (*thr.d_roots, thr.d_dagger, thr.d_tilde) if d is not None})
+    # three-root and one-root d-roots are floats near the irrational roots: skip the
+    # draws whose cells are too narrow for them to separate
+    assume(all(hi - lo > 1e-6 * max(1, abs(hi)) for lo, hi in zip(ends, ends[1:])))
+    ends = [Fraction(d) for d in ends]
+    samples = [ends[0] - 1, *((lo + hi) / 2 for lo, hi in zip(ends, ends[1:])), ends[-1] + 1,
+               *(Fraction(d) for d in (thr.d_dagger, thr.d_tilde, *thr.d_roots)
+                 if type(d) is Fraction)]
+    verdicts = {}
+
+    def reaches(d, nature, position) -> bool:
+        d = Fraction(d)
+        if d not in verdicts:
+            verdicts[d] = classify_quartic(Quartic(a, b, c, d))
+        cls = verdicts[d]
+        middle = DoublePairPosition.MIDDLE_TWO
+        return cls.nature is nature and (
+            position is None or nature is not Nature.FOUR_REAL_DOUBLE_PAIR
+            or (cls.position is middle) == (position is middle))
+
+    for nature in Nature:
+        for position in (None, *DoublePairPosition):
+            try:
+                adm = admissible_d_range(a, b, c, nature, position)
+            except Unachievable:
+                assert not any(reaches(d, nature, position) for d in samples)
+                continue
+            for lo, hi in adm.intervals:
+                inner = (hi - 1 if lo is None else lo + 1 if hi is None
+                         else (Fraction(lo) + Fraction(hi)) / 2)
+                assert reaches(inner, nature, position), (nature, position, lo, hi)
+            for d in adm.points:
+                assert type(d) is float or reaches(d, nature, position), (nature, position, d)
+            for d in samples:
+                if reaches(d, nature, position):
+                    assert d in adm.points or any(
+                        (lo is None or lo < d) and (hi is None or d < hi)
+                        for lo, hi in adm.intervals), (nature, position, d)
 
 
 class TestSynthesizeExamples:
