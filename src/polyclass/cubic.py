@@ -230,6 +230,8 @@ def _decided_values(cu: Cubic, s2_sign: int, three: bool):
     ``s2_sign`` 0 or below are the triple root -a/3.
     """
     a, b, c = float(cu.a), float(cu.b), float(cu.c)
+    if c == 0.0 and not three:
+        return "one", 0.0  # x (x^2 + a x + b), whose quadratic has no real root
     s2 = a * a - 3.0 * b
     if s2_sign * s2 <= 0.0 or 2.0 * math.sqrt(abs(s2)) ** 3 == 0.0:
         s2_sign = 0

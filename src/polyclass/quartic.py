@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import rshift
 from typing import Callable, List, Optional, Tuple
 
-from .cubic import _decided_values, _gap_terms, viete_values
+from .cubic import _decided_values, _Point, viete_values
 from .numeric import (
     _OVERFLOW,
     DEFAULT_TOL,
@@ -30,7 +30,6 @@ from .numeric import (
 )
 from .oracle import _eval_noise, solve
 from .poly import (
-    Cubic,
     Quartic,
     RootSet,
     _powers,
@@ -91,8 +90,8 @@ class QuarticThresholds:
     (c_mid, abc, d_dagger, d_tilde and a triple d-root) are Fractions, each made
     once from integers of the lattice point (see numeric._lattice); the rest are
     floats.
-    Three d_roots are d - p(x) = -(x^4 + a x^3 + b x^2 + c x) at the stationary
-    points x of p; a single one is the real root of the float d-cubic.
+    The d_roots are d - p(x) = -(x^4 + a x^3 + b x^2 + c x) at the real
+    stationary points x of p: three, or one.
     """
 
     c_mid: Number  # C0
@@ -298,8 +297,8 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
     """Thresholds on c and d; rationally computable fields stay exact for exact input.
 
     Exact input is read on its lattice point only, with no Fraction arithmetic.
-    With c strictly inside (C2, C1), off C0, the three d-roots are d - p(x) at
-    the stationary points x of p; a single one is the float d-cubic's root.
+    Off C0 and the band edges, the d-roots are d - p(x) at the real stationary
+    points x of p: three with c strictly inside (C2, C1), else one.
     Raises OverflowError when a float threshold would not be finite.
     """
     point, lam, sign = _sign_test(Quartic._values(q), _Coeffs, tol)
@@ -320,20 +319,19 @@ def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThres
             num = 9 * C - A * B
             dag = _value(num, denom, lam, 4)
             til = -A - 2 * dag if lam is None else _value(-A * denom - 2 * num, denom, lam, 4)
-    elif s_b < 0 and s_band < 0:
-        # three d-roots just where Delta3 = -K (c - C0)^2 [(c - C1)(c - C2)]^3 > 0:
-        # inside the band.  There p has three stationary points x (a'^2 - 3b' of
-        # p'/4 is (3/16)(3a^2 - 8b) > 0), disc is a positive multiple of the
-        # product of the p(x), and so each d-root is d - p(x); an error in x
-        # moves it only to second order, as p'(x) = 0
-        qf = q.as_float()
-        kind, xs = _decided_values(qf.derivative_monic()[0], 1, True)
-        xs = xs if kind == "three" else (xs,) * 3  # "triple": floats cannot part them
-        coeffs = (qf.a, qf.b, qf.c, 0.0)
-        d_roots = tuple(sorted([-_horner(coeffs, x)[0] for x in xs], reverse=True))
     else:
-        d_cubic = Cubic(*map(float, abc))
-        d_roots = (_decided_values(d_cubic, tol.sign_terms(_gap_terms(d_cubic)), False)[1],)
+        # p has three stationary points x just where Delta3 = -K (c - C0)^2
+        # [(c - C1)(c - C2)]^3 > 0, inside the band, else one: a'^2 - 3b' of p'/4
+        # is (3/16)(3a^2 - 8b).  disc is a positive multiple of the product of
+        # the p(x), and so each real d-root is d - p(x) at a real x; an error in
+        # x moves it only to second order, as p'(x) = 0.  0.0 - p(x) leaves a
+        # zero d-root unsigned
+        three = s_b < 0 and s_band < 0
+        a, b, c = float(q.a), float(q.b), float(q.c)
+        kind, xs = _decided_values(_Point(3 * a / 4, b / 2, c / 4), -s_b, three)
+        if kind != "three":
+            xs = (xs,) * (3 if three else 1)  # "triple": floats cannot part them
+        d_roots = tuple(sorted([0.0 - _horner((a, b, c, 0.0), x)[0] for x in xs], reverse=True))
     _require_finite((c0, c_hi, c_lo, *d_roots, dag, til))
     return QuarticThresholds(c0, c_hi, c_lo, abc, d_roots, dag, til)
 

@@ -73,59 +73,33 @@ class NatureTarget:
             raise ValueError(f"window must be finite and positive, got {self.window!r}")
 
 
-def _b_threshold(a) -> float:
-    return 3.0 * float(a) ** 2 / 8.0
-
-
 def admissible_b_range(a, nature: Nature) -> Admissible:
-    """Admissible quadratic coefficients for the target nature."""
-    thr = _b_threshold(a)
+    """Admissible quadratic coefficients for the target nature: b = 3a^2/8 for a
+    quadruple root, b < 3a^2/8 for the other four-real natures, and for the
+    zero- and two-real natures the half-line b > 3a^2/8, a choice made here:
+    every such nature is reached there, though not only there."""
+    thr = 3.0 * float(a) ** 2 / 8.0
     if nature is Nature.QUADRUPLE_ROOT:
         return Admissible(points=(thr,))
     if NATURE_STRUCTURE[nature][0] == 4:
         return Admissible(intervals=(((None, thr)),))
-    # zero- and two-real natures: the half-line above keeps the free-term
-    # discriminant single-rooted, which every such nature admits
     return Admissible(intervals=(((thr, None)),))
 
 
 def admissible_c_range(a, b, nature: Nature,
                        position: Optional[DoublePairPosition] = None,
                        tol: Tolerance = DEFAULT_TOL) -> Admissible:
-    """Admissible linear coefficients once a and b are fixed."""
-    q0 = Quartic(a, b, 0, 0)
-    if NATURE_STRUCTURE[nature][0] < 4 and nature is not Nature.TWO_EQUAL_REAL:
+    """Admissible linear coefficients once a and b are fixed: the cells and breaks
+    of the c-line, cut at C2 < C0 < C1 (at C0 alone where b >= 3a^2/8), whose
+    d-lines reach the target (_c_cells)."""
+    cells = _c_cells(nature, position)
+    if cells is None:
         return Admissible(intervals=((None, None),))
-    point, lam, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
+    point, lam, sign = _sign_test(Quartic._values(Quartic(a, b, 0, 0)), _Coeffs, tol)
     s_b = sign(_b_terms(point))
-    if nature is Nature.TWO_EQUAL_REAL:
-        # no two-equal case has c = C0 unless b > 3a^2/8 (cases x-xii, xxv-xxix)
-        if s_b > 0:
-            return Admissible(intervals=((None, None),))
-        c_mid = _c_mid(point.a, point.b, lam)
-        return Admissible(intervals=((c_mid, None), (None, c_mid)))
-    if nature is Nature.QUADRUPLE_ROOT:
-        if s_b != 0:
-            raise Unachievable("a quadruple root needs b = 3a^2/8 exactly")
-        return Admissible(points=(float(a) ** 3 / 16.0,))
-    if s_b >= 0:
-        raise Unachievable(
-            f"nature {nature.value} needs b < 3a^2/8 = {_b_threshold(q0.a):.6g}, got b = {float(q0.b):.6g}"
-        )
-    c_mid, c_hi, c_lo = _c_thresholds(point, lam, s_b)
-    if nature is Nature.FOUR_DISTINCT_REAL:
-        return Admissible(intervals=((c_lo, c_hi),))
-    if nature is Nature.TWO_DOUBLE_PAIRS:
-        return Admissible(points=(c_mid,))
-    if nature is Nature.TRIPLE_PLUS_SINGLE:
-        return Admissible(points=(c_hi, c_lo))
-    if nature is Nature.FOUR_REAL_DOUBLE_PAIR:
-        if position is DoublePairPosition.LOWEST_TWO:
-            return Admissible(intervals=((c_lo, c_mid),))
-        if position is DoublePairPosition.HIGHEST_TWO:
-            return Admissible(intervals=((c_mid, c_hi),))
-        return Admissible(intervals=((c_lo, c_hi),))
-    raise Unachievable(f"unsupported nature {nature!r}")
+    c0, c_hi, c_lo = _c_thresholds(point, lam, s_b)
+    breaks = (c0,) if s_b >= 0 else (c_lo, c0, c_hi)
+    return _admissible(cells[s_b], breaks, nature, position, "linear coefficient at this a, b")
 
 
 def admissible_d_range(a, b, c, nature: Nature,
@@ -136,33 +110,92 @@ def admissible_d_range(a, b, c, nature: Nature,
     q0 = Quartic(a, b, c, 0)
     thr = quartic_thresholds(q0, tol)
     point, _, sign = _sign_test(Quartic._values(q0), _Coeffs, tol)
-    s_b, s_c0 = sign(_b_terms(point)), sign(_c0_terms(point))
-    s_band = sign(_band_terms(point)) if s_b < 0 else None  # the band exists below 3a^2/8
-    # the breaks ascending, each named by the d-comparison that _cascade asks of it;
-    # the order comes from the region, as float thresholds can cross on a band edge
-    if s_c0 == 0 and s_b >= 0:
-        values = (thr.d_tilde,)
-        roles = ("d_vs_a4_over_256",) if s_b == 0 else ("d_vs_d_tilde",)
-    elif s_c0 == 0:
-        values, roles = (thr.d_tilde, thr.d_dagger), ("d_vs_d_tilde", "d_vs_d_dagger")
-    elif s_band == 0:
-        values, roles = (thr.d_dagger, thr.d_tilde), ("d_vs_d_dagger", "d_vs_d_tilde")
-    else:
-        values, roles = thr.d_roots[::-1], ("disc",) * len(thr.d_roots)
-    spans, points = _d_cells((s_b, s_c0, s_band), roles, nature, position)
+    s_b = sign(_b_terms(point))
+    prefix = (s_b, sign(_c0_terms(point)), sign(_band_terms(point)) if s_b < 0 else None)
+    # the breaks ascending; the order comes from the region, as float thresholds
+    # can cross on a band edge
+    roles = _d_roles(prefix)
+    values = thr.d_roots[::-1] if roles[0] == "disc" else tuple(
+        thr.d_dagger if role == "d_vs_d_dagger" else thr.d_tilde for role in roles)
+    return _admissible(_d_cells(prefix, nature, position), values, nature, position,
+                       "free term at this a, b, c")
+
+
+def _admissible(cells, breaks, nature: Nature, position: Optional[DoublePairPosition],
+                what: str) -> Admissible:
+    """The Admissible set of cells (_pieces) on a line cut at breaks, ascending;
+    Unachievable, naming what, when it is empty."""
+    spans, points = cells
     if not spans and not points:
         pair = f" with the {position.value} pair" if position else ""
-        raise Unachievable(f"no free term gives {nature.value}{pair} at this a, b, c")
-    cut = (None, *values, None).__getitem__
-    return Admissible(tuple(map(cut, spans)), tuple(map(cut, points)))
+        raise Unachievable(f"no {what} gives {nature.value}{pair}")
+    cut = (None, *breaks, None)
+    return Admissible(tuple((cut[lo], cut[hi]) for lo, hi in spans),
+                      tuple(cut[i] for i in points))
+
+
+def _pieces(reached):
+    """The reached spans and points of a line, top down, as index pairs and indices
+    into (None, *breaks, None) with the breaks ascending.  ``reached`` holds one
+    flag a slot, top down, cells and breaks alternating; reached cells merge
+    across reached breaks, and any other reached break is a point."""
+    n, spans, points = len(reached) // 2, [], []
+    for k, hit in enumerate(reached):
+        i = n - k // 2  # cell k (even) lies between cut[i] and cut[i + 1]; break k is cut[i]
+        if not hit:
+            continue
+        if k % 2:
+            if not (reached[k - 1] and reached[k + 1]):
+                points.append(i)
+        elif k and reached[k - 1] and reached[k - 2]:
+            spans[-1] = (i, spans[-1][1])
+        else:
+            spans.append((i, i + 1))
+    return tuple(spans), tuple(points)
+
+
+#: the prefix signs (b_vs_3a2_over_8, c_vs_C0, c_band) of each cell and break of
+#: the c-line, top down, by the sign of b; no band exists where b >= 3a^2/8
+_C_SLOTS = {
+    1: ((1, 1, None), (1, 0, None), (1, -1, None)),
+    0: ((0, 1, None), (0, 0, None), (0, -1, None)),
+    -1: ((-1, 1, 1), (-1, 1, 0), (-1, 1, -1), (-1, 0, -1), (-1, -1, -1), (-1, -1, 0), (-1, -1, 1)),
+}
 
 
 @lru_cache(maxsize=None)
-def _d_cells(prefix, roles, nature: Nature, position: Optional[DoublePairPosition]):
-    """The cells and breaks where _cascade gives the nature, top down, as slices
-    and indices of (None, *breaks, None); prefix holds the signs of
-    b_vs_3a2_over_8, c_vs_C0 and c_band.  A position filters FOUR_REAL_DOUBLE_PAIR
-    only: the middle pair is cases xviii and xxviii, a lowest or highest one xvi.
+def _c_cells(nature: Nature, position: Optional[DoublePairPosition]):
+    """The cells and breaks of the c-line whose d-lines reach the nature (_d_cells),
+    as _pieces gives them, by the sign of b; None where every c reaches it at
+    every sign of b, as admissible_c_range then needs no sign test."""
+    reached = {s_b: [_d_cells(prefix, nature, position) != ((), ()) for prefix in slots]
+               for s_b, slots in _C_SLOTS.items()}
+    if all(map(all, reached.values())):
+        return None
+    return {s_b: _pieces(flags) for s_b, flags in reached.items()}
+
+
+def _d_roles(prefix):
+    """The d-comparison that _cascade asks of each d-break, ascending, for the
+    prefix signs of _C_SLOTS: the d-roots (``disc``), three strictly inside the
+    band off C0, else one; d_tilde alone at C0 above 3a^2/8; a^4/256 at C0 on it;
+    d_tilde < d_dagger at C0 below it; d_dagger < d_tilde on a band edge."""
+    s_b, s_c0, s_band = prefix
+    if s_c0 == 0:
+        if s_b >= 0:
+            return ("d_vs_a4_over_256",) if s_b == 0 else ("d_vs_d_tilde",)
+        return "d_vs_d_tilde", "d_vs_d_dagger"
+    if s_band == 0:
+        return "d_vs_d_dagger", "d_vs_d_tilde"
+    return ("disc",) * (3 if s_band == -1 else 1)
+
+
+@lru_cache(maxsize=None)
+def _d_cells(prefix, nature: Nature, position: Optional[DoublePairPosition]):
+    """The cells and breaks of the d-line, as _pieces gives them, where _cascade
+    gives the nature; prefix holds the signs of b_vs_3a2_over_8, c_vs_C0 and
+    c_band.  A position filters FOUR_REAL_DOUBLE_PAIR only: the middle pair is
+    cases xviii and xxviii, and case xvi's pair is lowest below C0, highest above.
 
     _cascade reads a canonical d-line with the breaks at r = 0, 2, 4, ..., the
     cells at the odd r and at -1.  The discriminant there is r (r - 2) (r - 4)
@@ -170,7 +203,10 @@ def _d_cells(prefix, roles, nature: Nature, position: Optional[DoublePairPositio
     curvature the derivatives; any other d-comparison is r minus its break.
     """
     signs = dict(zip(("b_vs_3a2_over_8", "c_vs_C0", "c_band"), prefix))
+    roles = _d_roles(prefix)
     at = {role: 2 * i for i, role in enumerate(roles)}
+    # case xvi, the double pair with no position of its own in _CASE_TO_NATURE
+    xvi = DoublePairPosition.LOWEST_TWO if prefix[1] < 0 else DoublePairPosition.HIGHEST_TWO
 
     def sign(name: str, r: int) -> int:
         if name in signs:
@@ -185,16 +221,12 @@ def _d_cells(prefix, roles, nature: Nature, position: Optional[DoublePairPositio
             x = r * (r - 2) * (r - 4)
         return (x > 0) - (x < 0)
 
-    spans, points, middle = [], [], position is DoublePairPosition.MIDDLE_TWO
-    for r in range(2 * len(roles) - 1, -2, -1):
+    def reached(r: int) -> bool:
         got, pos = _CASE_TO_NATURE[_cascade(lambda name: sign(name, r))]
-        if got is nature and (position is None or nature is not Nature.FOUR_REAL_DOUBLE_PAIR
-                              or (pos is not None) == middle):
-            if r % 2:
-                spans.append(slice((r + 1) // 2, (r + 5) // 2))
-            else:
-                points.append(r // 2 + 1)
-    return tuple(spans), tuple(points)
+        return got is nature and (position is None or nature is not Nature.FOUR_REAL_DOUBLE_PAIR
+                                  or (pos or xvi) is position)
+
+    return _pieces([reached(r) for r in range(2 * len(roles) - 1, -2, -1)])
 
 
 # --- sampling -------------------------------------------------------------------
@@ -202,8 +234,6 @@ def _d_cells(prefix, roles, nature: Nature, position: Optional[DoublePairPositio
 
 def _pick(adm: Admissible, target: NatureTarget, rng: random.Random,
           pad: float = 0.05) -> float:
-    if adm.empty:
-        raise Unachievable("empty admissible set")
     w = target.window
     if adm.points:
         if target.strategy == "midpoint":

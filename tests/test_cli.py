@@ -350,6 +350,14 @@ class TestSynthesizeCommand:
         assert json.loads(out)["error"]["type"] == "Unachievable"
 
 
+    def test_double_pair_on_the_wrong_side_of_c0_is_unachievable(self, capsys):
+        # c = 2 lies above C0 = 0, where case xvi's pair is the highest two
+        code, out, _ = run(capsys, "synthesize", "--nature", "double-pair", "--a", "0",
+                           "--b", "-6", "--c", "2", "--position", "lowest", "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "Unachievable"
+
+
 class TestQuinticCommand:
     def test_monotone_example(self, capsys):
         code, out, _ = run(capsys, "quintic", "--coeffs", "0", "0", "0", "1", "0",

@@ -312,6 +312,14 @@ class TestVieteRoots:
         # one-real verdict: its arccos argument overflows to +-inf, one root
         assert cubic._decided_values(cu, 1, False)[0] == "one"
 
+    def test_zero_free_term_gives_the_root_zero(self):
+        # x (x^2 + a x + b) with a complex pair: the one real root is 0 exactly, where
+        # the Viete formula gave +-1e-12.  These are p'/4 of the two-equal quartics
+        # that synthesize picks by default (b = 3A^2/8 + 5, c = 0) for integer A
+        for a in range(-50, 51):
+            b = 3.0 * a * a / 8.0 + 5.0
+            assert viete_roots(Cubic(3 * a / 4, b / 2, 0.0)).roots == ((0.0, 1),), a
+
     def test_derivative_cubic_of_worked_example(self):
         rs = viete_roots(Cubic(2.25, 1.0, -0.25))
         expected = (-1.425390529679106, -1.0, 0.1753905296791061)

@@ -117,14 +117,26 @@ class TestThresholds:
 
     def test_one_d_root_just_outside_the_band(self):
         # c lies just below C2 (c_band margin +1232, unflagged), so Delta3 < 0; the
-        # arccos test alone read three d-roots, the last two 3.9e-9 apart.  The float
-        # d-cubic differs from the rational one in its last bits, so its root by 1 ulp.
+        # arccos test alone read three d-roots, the last two 3.9e-9 apart.  The d-root,
+        # p at the one stationary point of the float coefficients, is within 1 ulp of
+        # the exact root.
         coeffs = (0.6496321368960247, -0.642072305088444, -0.632558909960384,
                   0.26506228457592496)
         for q in (Quartic(*coeffs), Quartic(*map(Fraction, coeffs))):
             assert classify_quartic(q).case is ClassificationCase.XXXII
             [d0] = quartic_thresholds(q).d_roots
             assert d0 == pytest.approx(0.3433097848926859, rel=4e-16)
+
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_one_d_root_is_p_at_the_stationary_point(self, num):
+        # just outside the band the float d-cubic's Viete root lost 8 digits here,
+        # 102.6611321505014; p at the one stationary point gives the exact root
+        [d0] = quartic_thresholds(Quartic(*map(num, (-12.75, 60.828125, -128.9140625, 0)))).d_roots
+        assert d0 == 102.6611328125
+        # c = 0 puts a stationary point at 0, so the d-root is 0, with no sign bit
+        for abc in ((2, 6.5, 0), (-2.875, 3.1953125, 0)):
+            [d0] = quartic_thresholds(Quartic(*map(num, (*abc, 0)))).d_roots
+            assert d0 == 0.0 and math.copysign(1.0, d0) == 1.0
 
     def test_d_root_count_follows_delta3_at_the_band_edges(self):
         # c a few ulps to 1e-6 off C1 or C2, either side: three d-roots exactly

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyclass import (
+    Admissible,
     DoublePairPosition,
     NatureTarget,
     Nature,
@@ -195,6 +196,20 @@ class TestAdmissibleD:
         (lo1, hi1), (lo2, hi2) = adm.intervals
         assert lo1 is not None and hi1 is not None and lo2 is None
 
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_case_xvi_places_its_pair_by_c_against_c0(self, num):
+        # a = 0, b = -6 puts C0 at 0: case xvi's pair is the highest two above C0
+        # and the lowest two below, so the other position has no free term
+        low, high = DoublePairPosition.LOWEST_TWO, DoublePairPosition.HIGHEST_TWO
+        for c, there, other in ((2, high, low), (-2, low, high)):
+            a, b, c = num(0), num(-6), num(c)
+            with pytest.raises(Unachievable, match=other.value):
+                admissible_d_range(a, b, c, Nature.FOUR_REAL_DOUBLE_PAIR, other)
+            adm = admissible_d_range(a, b, c, Nature.FOUR_REAL_DOUBLE_PAIR, there)
+            assert adm.intervals == () and adm.points == (5.623684161867927,)
+            cls = classify_quartic(Quartic(a, b, c, adm.points[0]))
+            assert cls.nature is Nature.FOUR_REAL_DOUBLE_PAIR and cls.position is there
+
 
 @st.composite
 def d_line_prefixes(draw):
@@ -240,10 +255,9 @@ def test_d_line_agrees_with_the_exact_classifier(prefix):
         if d not in verdicts:
             verdicts[d] = classify_quartic(Quartic(a, b, c, d))
         cls = verdicts[d]
-        middle = DoublePairPosition.MIDDLE_TWO
         return cls.nature is nature and (
             position is None or nature is not Nature.FOUR_REAL_DOUBLE_PAIR
-            or (cls.position is middle) == (position is middle))
+            or cls.position is position)
 
     for nature in Nature:
         for position in (None, *DoublePairPosition):
@@ -263,6 +277,74 @@ def test_d_line_agrees_with_the_exact_classifier(prefix):
                     assert d in adm.points or any(
                         (lo is None or lo < d) and (hi is None or d < hi)
                         for lo, hi in adm.intervals), (nature, position, d)
+
+
+@st.composite
+def c_line_prefixes(draw):
+    """Rational (a, b) with b above, on or below 3a^2/8, the last with 3a^2 - 8b =
+    3t^2 so that the band edges C0 +- t^3/8 are rational, and the band's half-width."""
+    a = Fraction(draw(st.integers(-24, 24)), draw(st.sampled_from([1, 2, 3, 4])))
+    t = Fraction(draw(st.integers(1, 16)), draw(st.sampled_from([1, 2, 3])))
+    gap = draw(st.sampled_from([-Fraction(draw(st.integers(1, 40)), 4), 0, 3 * t * t / 8]))
+    return a, 3 * a * a / 8 - gap, t ** 3 / 8 if gap > 0 else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(c_line_prefixes())
+@example((Fraction(0), Fraction(-6), Fraction(8)))  # case xvi's pair: lowest below C0
+@example((Fraction(4), Fraction(6), Fraction(0)))  # the quadruple line
+def test_c_line_agrees_with_the_exact_classifier(prefix):
+    """admissible_c_range on rational prefixes, against exact admissible_d_range:
+    each rational break (C2, C0, C1) and a rational point inside each cell lies in
+    a returned piece just when some free term there reaches the target, and each
+    free term returned classifies as the target, position included: exactly where
+    it is rational, in floats where it is a float d-root."""
+    a, b, half = prefix
+    c0 = -a ** 3 / 8 + a * b / 2
+    breaks = [c0 - half, c0, c0 + half] if half else [c0]
+    samples = [breaks[0] - 1, *breaks, *((lo + hi) / 2 for lo, hi in zip(breaks, breaks[1:])),
+               breaks[-1] + 1]
+
+    def near(x, y) -> bool:
+        return abs(x - y) <= 1e-9 * max(1, abs(x))
+
+    def covered(adm, c) -> bool:
+        return any(near(c, p) for p in adm.points) or any(
+            (lo is None or lo < c and not near(c, lo)) and (hi is None or c < hi and not near(c, hi))
+            for lo, hi in adm.intervals)
+
+    def reaches(c, nature, position) -> bool:
+        try:
+            adm = admissible_d_range(a, b, c, nature, position)
+        except Unachievable:
+            return False
+        inner = [Fraction(hi) - 1 if lo is None else Fraction(lo) + 1 if hi is None
+                 else (Fraction(lo) + Fraction(hi)) / 2
+                 for lo, hi in adm.intervals
+                 # float d-roots part cells only as far as they are accurate
+                 if lo is None or hi is None or hi - lo > 1e-6 * max(1, abs(hi))]
+        # a float d-root makes the quartic float, read within the tolerance as
+        # synthesize reads it, where no comparison but the discriminant's is
+        # fragile; rational points are read exactly
+        for d in [*inner, *adm.points]:
+            cls = classify_quartic(Quartic(a, b, c, d))
+            if any(cmp.fragile for cmp in cls.comparisons if not cmp.name.endswith("_via_disc")):
+                continue
+            assert cls.nature is nature, (nature, position, c, d)
+            if position is not None and nature is Nature.FOUR_REAL_DOUBLE_PAIR:
+                assert cls.position is position, (nature, position, c, d)
+        return True
+
+    for nature in Nature:
+        for position in (None, *DoublePairPosition):
+            try:
+                adm = admissible_c_range(a, b, nature, position)
+            except Unachievable:
+                adm = Admissible()
+            for p in adm.points:
+                assert any(near(p, c) for c in breaks), (nature, position, p)
+            for c in samples:
+                assert covered(adm, c) == reaches(c, nature, position), (nature, position, c)
 
 
 class TestSynthesizeExamples:
@@ -301,6 +383,15 @@ class TestRoundTrip:
     def test_midpoint_strategy(self, nature):
         q = synthesize(NatureTarget(nature=nature, a=2.0))
         assert classify_quartic(q).nature is nature
+
+    def test_two_equal_midpoint_over_integer_a(self):
+        # the CLI default picks b = 3a^2/8 + 5 and c = 0, so the double root is
+        # the stationary point 0 of p and d = 0 exactly; a Viete root at 1e-12 there
+        # gave d = -9e-13 and a round-trip mismatch for 66 of these a
+        for a in range(-50, 51):
+            q = synthesize(NatureTarget(nature=Nature.TWO_EQUAL_REAL, a=float(a)))
+            assert (q.c, q.d) == (0.0, 0.0)
+            assert classify_quartic(q).nature is Nature.TWO_EQUAL_REAL
 
     @pytest.mark.parametrize("nature", ALL_NATURES)
     def test_random_strategy_float(self, nature, rng):
