@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 error, 2 success with a boundary-fragile verdict.
 Coefficients are parsed manually so negative numbers and p/q fractions work
-without escaping.
+without escaping.  The synthesize, quintic, render and selftest commands
+import ``reverse``, ``quintic`` and ``svg`` when they run, so a classify start
+loads none of them.
 """
 
 from __future__ import annotations
@@ -27,16 +29,7 @@ from .quartic import (
     _verdict_roots,
     classify_quartic,
 )
-from .quintic import delta5_eval, delta5_sign_changes, quintic_cascade
 from .report import SCHEMA, Report, error_report
-from .reverse import (
-    NatureTarget,
-    admissible_b_range,
-    admissible_c_range,
-    admissible_d_range,
-    synthesize,
-)
-from .svg import render_cubic, render_quartic
 
 USAGE = """usage: polyclass <command> [options]
 
@@ -167,9 +160,8 @@ def _classify_quartic_report(q: Quartic, tol: Tolerance, exact: bool,
     roots, source = _verdict_roots(cls)
     geometry = None
     if _b_gap(float(q.a), float(q.b)) > 0.0:
-        # the fields in declaration order, which is the report's; a shallow copy,
-        # as dataclasses.asdict's deep copy costs 20-40 us a report
-        geometry = dict(vars(geometry_mod.tetrahedron_data(float(q.a), float(q.b))))
+        # the fields in declaration order, which is the report's
+        geometry = geometry_mod.tetrahedron_data(float(q.a), float(q.b))._asdict()
     fragile = any(c.fragile for c in cls.comparisons)
     data = {
         **_header("classify", exact, tol),
@@ -216,7 +208,7 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
     theta = isolation = triangle = None
     if cls.triangle is not None:
         theta = cls.triangle.theta
-        triangle = dict(vars(cls.triangle))
+        triangle = cls.triangle._asdict()
         iso = cubic_mod._isolation(cu, cls.triangle, tol)
         isolation = {"branch": iso.branch,
                      "intervals": [list(i) for i in iso.intervals]}
@@ -225,7 +217,7 @@ def _classify_cubic_report(cu: Cubic, tol: Tolerance, exact: bool,
         "input": {"kind": "cubic",
                   "coefficients": {"a": cu.a, "b": cu.b, "c": cu.c}},
         "classification": {"kind": cls.kind.value, "theta": theta},
-        "thresholds": (dict(vars(cls.thresholds))
+        "thresholds": (cls.thresholds._asdict()
                        if cls.thresholds is not None else None),
         "triangle": triangle,
         "isolation": isolation,
@@ -298,6 +290,14 @@ def _admissible_payload(adm) -> Dict:
 
 
 def cmd_synthesize(opts) -> Tuple[Report, int]:
+    from .reverse import (
+        NatureTarget,
+        admissible_b_range,
+        admissible_c_range,
+        admissible_d_range,
+        synthesize,
+    )
+
     exact, tol = _mode(opts)
     name = opts.get("nature")
     if name not in NATURE_NAMES:
@@ -348,6 +348,8 @@ def cmd_synthesize(opts) -> Tuple[Report, int]:
 
 
 def cmd_quintic(opts) -> Tuple[Report, int]:
+    from .quintic import delta5_eval, delta5_sign_changes, quintic_cascade
+
     exact, tol = _mode(opts)
     if "coeffs" not in opts:
         raise CliError("quintic needs --coeffs P Q R S T")
@@ -383,6 +385,8 @@ def cmd_quintic(opts) -> Tuple[Report, int]:
 
 
 def cmd_render(opts) -> Tuple[Report, int]:
+    from .svg import render_cubic, render_quartic
+
     exact, tol = _mode(opts)
     if "out" not in opts:
         raise CliError("render needs --out FILE.svg")
@@ -412,6 +416,9 @@ def _approx(x, y, tol=5e-5) -> bool:
 
 
 def run_selftest(seed: int = 0) -> Tuple[List[str], bool]:
+    from .quintic import delta5_sign_changes, quintic_cascade
+    from .reverse import NatureTarget, synthesize
+
     lines: List[str] = []
     ok_all = True
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import NoTriangle, OutOfRange
 from .numeric import (
@@ -38,8 +37,7 @@ class CubicKind(Enum):
     ONE_REAL_PLUS_COMPLEX_PAIR = "one_real_plus_complex_pair"
 
 
-@dataclass(frozen=True)
-class CubicThresholds:
+class CubicThresholds(NamedTuple):
     """Free-term band [c2, c1] inside which three real roots exist; c0 is its midpoint."""
 
     c0: float
@@ -47,8 +45,7 @@ class CubicThresholds:
     c2: float
 
 
-@dataclass(frozen=True)
-class TriangleData:
+class TriangleData(NamedTuple):
     """Vertex triangle of a cubic with three real roots (descending order x1 >= x2 >= x3)."""
 
     centroid_x: float
@@ -65,8 +62,7 @@ class TriangleData:
     vertices: Tuple[Tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class CubicClassification:
+class CubicClassification(NamedTuple):
     kind: CubicKind
     thresholds: Optional[CubicThresholds]
     triangle: Optional[TriangleData]
@@ -322,8 +318,7 @@ def triangle_data(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> TriangleData:
     return cls.triangle
 
 
-@dataclass(frozen=True)
-class CubicIsolation:
+class CubicIsolation(NamedTuple):
     """Isolation intervals for the three real roots, ascending root order."""
 
     branch: str  # "low_c" for c <= c0, "high_c" for c >= c0

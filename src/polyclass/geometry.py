@@ -9,8 +9,7 @@ no root leaves [-a/4 - 3R, -a/4 + 3R].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import NoTetrahedron, NotFourReal
 from .poly import Quartic
@@ -19,8 +18,7 @@ from .quartic import NATURE_STRUCTURE, Nature, QuarticClassification, _b_gap, c0
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class TetrahedronData:
+class TetrahedronData(NamedTuple):
     """All landmark abscissae generated by (a, b) for 3a^2 - 8b > 0.
 
     rho: inflection points (+-R around the center); phi: the lone stationary
@@ -45,8 +43,7 @@ class TetrahedronData:
     lambda_max: float
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     """Closed intervals containing the sorted roots x4 <= x3 <= x2 <= x1."""
 
     branch: str  # "low_c" (C2 <= c <= C0) or "high_c" (C0 <= c <= C1)

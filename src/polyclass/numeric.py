@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from numbers import Rational
@@ -79,8 +78,41 @@ _OVERFLOW = ("coefficient magnitudes overflow the threshold expression; "
              "rescale the polynomial or use exact (Fraction) coefficients")
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Frozen:
+    """Shared body of the records whose fields are ``__slots__``: like a frozen
+    dataclass, a record is compared, hashed and shown by its fields, equals
+    only a record of its own type, and refuses assignment.  A subclass lists
+    its fields in ``__slots__`` and sets them in ``__init__`` with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> Tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Tolerance(_Frozen):
     """Relative sign-test tolerance.
 
     ``sign_terms`` sums a list of monomial terms left to right
@@ -93,14 +125,15 @@ class Tolerance:
     returns the value, margin and fragile flag.
     """
 
-    eps: float = DEFAULT_EPS
+    __slots__ = ("eps",)
 
-    def __post_init__(self):
+    def __init__(self, eps: float = DEFAULT_EPS):
         # with a NaN or negative eps no sign test reads 0, with an infinite one
         # every test does: either way a confident wrong verdict (NaN fails both
         # comparisons below)
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"tolerance eps must be finite and >= 0, got {self.eps!r}")
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"tolerance eps must be finite and >= 0, got {eps!r}")
+        object.__setattr__(self, "eps", eps)
 
     def sign_terms(self, terms: Sequence[Number]) -> int:
         value = sum_terms(terms)

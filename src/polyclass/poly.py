@@ -10,13 +10,12 @@ written so that exact inputs stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import attrgetter
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
-from .numeric import Number
+from .numeric import Number, _Frozen
 
 _FLOAT, _FRACTION, _FRACTION_INT = {float}, {Fraction}, {Fraction, int}
 
@@ -48,20 +47,19 @@ def _uniform(values: Tuple) -> Tuple:
     return values
 
 
-class _Monic:
-    """Shared body of the monic classes; a subclass declares its coefficient
-    fields, its Horner ``__call__`` and its ``derivative_monic``."""
+class _Monic(_Frozen):
+    """Shared body of the monic classes; a subclass lists its coefficient
+    fields in ``__slots__`` and declares an ``__init__`` that hands them to
+    ``_hold``, its Horner ``__call__`` and its ``derivative_monic``."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._names = tuple(cls.__annotations__)
-        cls._values = attrgetter(*cls._names)
+        cls._values = attrgetter(*cls.__slots__)
 
-    def __post_init__(self):
-        values = self._values(self)
-        held = _uniform(values)
-        if held is not values:
-            for name, v in zip(self._names, held):
-                object.__setattr__(self, name, v)
+    def _hold(self, values: Tuple) -> None:
+        for name, v in zip(self.__slots__, _uniform(values)):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_leading(cls, lead: Number, *coeffs: Number):
@@ -86,13 +84,13 @@ class _Monic:
         return type(self)(*map(float, self._values(self)))
 
 
-@dataclass(frozen=True)
 class Cubic(_Monic):
     """Monic cubic x^3 + a x^2 + b x + c."""
 
-    a: Number
-    b: Number
-    c: Number
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Number, b: Number, c: Number):
+        self._hold((a, b, c))
 
     def __call__(self, x):
         return ((x + self.a) * x + self.b) * x + self.c
@@ -102,14 +100,13 @@ class Cubic(_Monic):
         return (2 * self.a / 3, self.b / 3), 3
 
 
-@dataclass(frozen=True)
 class Quartic(_Monic):
     """Monic quartic x^4 + a x^3 + b x^2 + c x + d."""
 
-    a: Number
-    b: Number
-    c: Number
-    d: Number
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Number, b: Number, c: Number, d: Number):
+        self._hold((a, b, c, d))
 
     def __call__(self, x):
         return (((x + self.a) * x + self.b) * x + self.c) * x + self.d
@@ -119,15 +116,13 @@ class Quartic(_Monic):
         return Cubic(3 * self.a / 4, self.b / 2, self.c / 4), 4
 
 
-@dataclass(frozen=True)
 class Quintic(_Monic):
     """Monic quintic x^5 + p x^4 + q x^3 + r x^2 + s x + t."""
 
-    p: Number
-    q: Number
-    r: Number
-    s: Number
-    t: Number
+    __slots__ = ("p", "q", "r", "s", "t")
+
+    def __init__(self, p: Number, q: Number, r: Number, s: Number, t: Number):
+        self._hold((p, q, r, s, t))
 
     def __call__(self, x):
         return ((((x + self.p) * x + self.q) * x + self.r) * x + self.s) * x + self.t
@@ -136,28 +131,32 @@ class Quintic(_Monic):
         return Quartic(4 * self.p / 5, 3 * self.q / 5, 2 * self.r / 5, self.s / 5), 5
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Sorted real roots with multiplicities plus the count of conjugate pairs."""
-
+class _RootSet(NamedTuple):
     roots: Tuple[Tuple[float, int], ...]
     complex_pairs: int
     residuals: Tuple[float, ...]
     degree: int
 
-    def __post_init__(self):
-        if len(self.residuals) != len(self.roots):
+
+class RootSet(_RootSet):
+    """Sorted real roots with multiplicities plus the count of conjugate pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, roots, complex_pairs, residuals, degree):
+        if len(residuals) != len(roots):
             raise ValueError("one residual per root required")
-        total = sum(m for _, m in self.roots)
-        if any(m < 1 for _, m in self.roots):
+        total = sum(m for _, m in roots)
+        if any(m < 1 for _, m in roots):
             raise ValueError("multiplicities must be positive")
-        if total + 2 * self.complex_pairs != self.degree:
+        if total + 2 * complex_pairs != degree:
             raise ValueError(
-                f"multiplicities {total} + 2*{self.complex_pairs} pairs != degree {self.degree}"
+                f"multiplicities {total} + 2*{complex_pairs} pairs != degree {degree}"
             )
-        values = [v for v, _ in self.roots]
+        values = [v for v, _ in roots]
         if any(x >= y for x, y in zip(values, values[1:])):
             raise ValueError("roots must be strictly increasing")
+        return tuple.__new__(cls, (roots, complex_pairs, residuals, degree))
 
     @property
     def real_count(self) -> int:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import rshift
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .cubic import _decided_values, _Point, viete_values
 from .numeric import (
@@ -82,8 +81,7 @@ NATURE_STRUCTURE = {
 _ZERO_DISC_NATURES = {n for n, (_, m) in NATURE_STRUCTURE.items() if max(m, default=0) > 1}
 
 
-@dataclass(frozen=True)
-class QuarticThresholds:
+class QuarticThresholds(NamedTuple):
     """All free-term and linear-term thresholds of the classification.
 
     For exact input the fields that are rational functions of the coefficients
@@ -103,15 +101,27 @@ class QuarticThresholds:
     d_tilde: Optional[Number]  # simple root (the sign change) in the same situation
 
 
-@dataclass(frozen=True)
-class QuarticClassification:
+class _QuarticClassification(NamedTuple):
     case: ClassificationCase
     nature: Nature
     position: Optional[DoublePairPosition]
     closed_form_roots: Optional[RootSet]
     comparisons: Tuple[Comparison, ...]
     eps: float
-    _source: Tuple[Quartic, Tolerance] = field(compare=False, repr=False)
+
+
+class QuarticClassification(_QuarticClassification):
+    """The verdict of classify_quartic.  The classified quartic and tolerance,
+    ``_source``, ride along outside the fields, so out of equality and repr."""
+
+    def __new__(cls, case, nature, position, closed_form_roots, comparisons, eps,
+                _source: Tuple[Quartic, Tolerance]):
+        self = tuple.__new__(cls, (case, nature, position, closed_form_roots, comparisons, eps))
+        self._source = _source
+        return self
+
+    def __getnewargs_ex__(self):  # for copy and pickle
+        return tuple(self), {"_source": self._source}
 
     @property
     def thresholds(self) -> QuarticThresholds:

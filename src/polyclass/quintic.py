@@ -10,8 +10,7 @@ classification of the quintic itself is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DegenerateAtBoundary
 from .numeric import DEFAULT_TOL, Tolerance
@@ -20,8 +19,7 @@ from .poly import Quartic, _uniform
 from .quartic import NATURE_STRUCTURE, classify_quartic
 
 
-@dataclass(frozen=True)
-class QuinticCascade:
+class QuinticCascade(NamedTuple):
     """Cascade quantities; delta5_coeffs are the t^4 .. t^0 coefficients."""
 
     delta5_coeffs: Tuple
@@ -168,8 +166,7 @@ def quintic_cascade(p, q, r, s) -> QuinticCascade:
     )
 
 
-@dataclass(frozen=True)
-class SignChangeSummary:
+class SignChangeSummary(NamedTuple):
     count: int
     t_roots: Tuple[float, ...]
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 SCHEMA = "polyclass.report.v1"
 
@@ -32,7 +32,8 @@ def _fraction_text(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-_ENCODER = json.JSONEncoder(default=_fraction_text)
+#: reports are trees built fresh for each command, so no cycle check
+_ENCODER = json.JSONEncoder(default=_fraction_text, check_circular=False)
 
 
 def _decode(obj):
@@ -46,8 +47,7 @@ def _decode(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Nested payload of plain values, Fractions, lists and dicts."""
 
     data: dict

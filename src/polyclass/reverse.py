@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import RoundTripMismatch, Unachievable
 from .numeric import DEFAULT_TOL, Number, Tolerance, _sign_test
@@ -42,8 +41,7 @@ from .quartic import (
 )
 
 
-@dataclass(frozen=True)
-class Admissible:
+class Admissible(NamedTuple):
     """Union of open intervals (None = unbounded side) and isolated points."""
 
     intervals: Tuple[Tuple[Optional[float], Optional[float]], ...] = ()
@@ -54,8 +52,7 @@ class Admissible:
         return not self.intervals and not self.points
 
 
-@dataclass(frozen=True)
-class NatureTarget:
+class _NatureTarget(NamedTuple):
     nature: Nature
     a: Number
     b: Optional[Number] = None
@@ -66,11 +63,17 @@ class NatureTarget:
     exact: bool = False
     window: float = 10.0
 
-    def __post_init__(self):
+
+class NatureTarget(_NatureTarget):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in ("midpoint", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0 < self.window < math.inf:
             raise ValueError(f"window must be finite and positive, got {self.window!r}")
+        return self
 
 
 def admissible_b_range(a, nature: Nature) -> Admissible:

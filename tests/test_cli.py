@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -541,3 +545,60 @@ class TestOracleCheckInvariance:
         oracle = b.pop("oracle")
         assert a == b  # verdict and every other field unchanged
         assert oracle["real_count_agrees"] is True
+
+
+#: run in a fresh interpreter: the modules a classify start loads, then the
+#: package namespace as ``from polyclass import <name>`` and ``*`` see it
+_COLD_IMPORT = """
+import json, sys
+import polyclass
+bare = sorted(m for m in sys.modules if m.startswith("polyclass."))
+import polyclass.cli
+loaded = sorted(set(sys.argv[1:]) & set(sys.modules))
+unresolved = []
+for name in polyclass.__all__:
+    try:
+        exec(f"from polyclass import {name}", {})
+    except ImportError:
+        unresolved.append(name)
+star = {}
+exec("from polyclass import *", star)
+print(json.dumps({"bare": bare, "loaded": loaded, "unresolved": unresolved,
+                  "all": polyclass.__all__, "dir": dir(polyclass),
+                  "star": sorted(set(star) - {"__builtins__"})}))
+"""
+
+
+class TestColdImport:
+    @pytest.fixture(scope="class")
+    def state(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        heavy = ["dataclasses", "inspect", "polyclass.reverse", "polyclass.quintic",
+                 "polyclass.svg"]
+        proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, *heavy], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(proc.stdout)
+
+    def test_the_package_imports_no_submodule(self, state):
+        assert state["bare"] == []
+
+    def test_classify_loads_no_dataclasses_and_no_other_command(self, state):
+        assert state["loaded"] == []
+
+    def test_every_public_name_resolves(self, state):
+        assert state["unresolved"] == []
+        assert set(state["all"]) <= set(state["dir"])
+        assert state["star"] == sorted(state["all"])
+
+    def test_public_names_are_the_modules_own(self):
+        import importlib
+
+        import polyclass
+
+        for name in polyclass.__all__:
+            value = getattr(polyclass, name)
+            module = importlib.import_module(f"polyclass.{polyclass._MODULE_OF[name]}")
+            assert getattr(module, name) is value, name
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            polyclass.nope
