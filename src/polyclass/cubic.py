@@ -122,7 +122,7 @@ def classify_cubic(cu: Cubic, tol: Tolerance = DEFAULT_TOL) -> CubicClassificati
     triangle are built from those decisions.  Exact input is tested on its
     integer lattice point (numeric._lattice), with no Fraction arithmetic.
     """
-    kind, comparisons = _recorded(_cascade, _COMPARISONS, Cubic._values(cu), _Point, tol)
+    kind, comparisons, _, _ = _recorded(_cascade, _COMPARISONS, Cubic._values(cu), _Point, tol)
     thresholds = triangle = None
     if comparisons[0].sign > 0:
         a, b = float(cu.a), float(cu.b)

@@ -241,10 +241,11 @@ def _sign_test(values, point, tol: Tolerance):
 
 
 def _recorded(cascade, table, values, point, tol: Tolerance):
-    """(cascade(sign), comparisons), where ``sign(name)`` makes and records the
-    comparison ``table[name] = (terms, weight)`` at the coefficients values, on
-    the point of _sign_test.  A lattice term of weight w is l^w times the term
-    at the values, so value and margin are theirs, bit for bit."""
+    """(cascade(sign), comparisons, at, l), where ``sign(name)`` makes and
+    records the comparison ``table[name] = (terms, weight)`` at the
+    coefficients values, on the point ``at`` and l of _sign_test.  A lattice
+    term of weight w is l^w times the term at the values, so value and margin
+    are theirs, bit for bit."""
     at, lam, _ = _sign_test(values, point, tol)
     comparisons = []
 
@@ -259,7 +260,7 @@ def _recorded(cascade, table, values, point, tol: Tolerance):
         comparisons.append(cmp)
         return cmp.sign
 
-    return cascade(sign), comparisons
+    return cascade(sign), comparisons, at, lam
 
 
 def sort_key_complex(z: complex):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Tuple
 
 from .numeric import Number, _Frozen
@@ -146,15 +146,21 @@ class RootSet(_RootSet):
     def __new__(cls, roots, complex_pairs, residuals, degree):
         if len(residuals) != len(roots):
             raise ValueError("one residual per root required")
-        total = sum(m for _, m in roots)
-        if any(m < 1 for _, m in roots):
-            raise ValueError("multiplicities must be positive")
+        # one pass; last starts at NaN, which compares False with every value, so
+        # the first root has no predecessor and a NaN root fails no order test
+        total, increasing, last = 0, True, math.nan
+        for v, m in roots:
+            if m < 1:
+                raise ValueError("multiplicities must be positive")
+            total += m
+            if last >= v:
+                increasing = False
+            last = v
         if total + 2 * complex_pairs != degree:
             raise ValueError(
                 f"multiplicities {total} + 2*{complex_pairs} pairs != degree {degree}"
             )
-        values = [v for v, _ in roots]
-        if any(x >= y for x, y in zip(values, values[1:])):
+        if not increasing:
             raise ValueError("roots must be strictly increasing")
         return tuple.__new__(cls, (roots, complex_pairs, residuals, degree))
 
@@ -182,11 +188,11 @@ def root_set_from_values(values: Sequence[float], residuals: Sequence[float],
                          degree: int, complex_pairs: int = 0,
                          merge_tol: float = 0.0) -> RootSet:
     """Assemble a RootSet from possibly repeated values, merging within merge_tol * max|value|."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    pairs = sorted(zip(values, residuals), key=itemgetter(0))  # stable: ties keep their order
     reach = merge_tol * max(map(abs, values)) if merge_tol else 0.0
     merged: list[list] = []
-    for i in order:
-        v, r = float(values[i]), float(residuals[i])
+    for v, r in pairs:
+        v, r = float(v), float(r)
         if merged and abs(v - merged[-1][0]) <= reach:
             prev = merged[-1]
             prev[0] = (prev[0] * prev[1] + v) / (prev[1] + 1)

@@ -14,7 +14,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from operator import rshift
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .cubic import _decided_values, _Point, viete_values
 from .numeric import (
@@ -111,11 +111,13 @@ class _QuarticClassification(NamedTuple):
 
 
 class QuarticClassification(_QuarticClassification):
-    """The verdict of classify_quartic.  The classified quartic and tolerance,
-    ``_source``, ride along outside the fields, so out of equality and repr."""
+    """The verdict of classify_quartic.  ``_source`` rides along outside the
+    fields, so out of equality and repr: the classified quartic, the tolerance,
+    and the point and l (None for floats) of numeric._sign_test that the
+    cascade tested on."""
 
     def __new__(cls, case, nature, position, closed_form_roots, comparisons, eps,
-                _source: Tuple[Quartic, Tolerance]):
+                _source: Tuple[Quartic, Tolerance, _Coeffs, Optional[int]]):
         self = tuple.__new__(cls, (case, nature, position, closed_form_roots, comparisons, eps))
         self._source = _source
         return self
@@ -125,12 +127,12 @@ class QuarticClassification(_QuarticClassification):
 
     @property
     def thresholds(self) -> QuarticThresholds:
-        """quartic_thresholds of the classified quartic, built on first read."""
+        """quartic_thresholds of this verdict, built on first read."""
         # cached by hand: before Python 3.12 functools.cached_property takes a
         # lock on every first read, a cost a float classify report can measure
         thr = self.__dict__.get("_thresholds")
         if thr is None:
-            thr = self.__dict__["_thresholds"] = quartic_thresholds(*self._source)
+            thr = self.__dict__["_thresholds"] = quartic_thresholds(self)
         return thr
 
 
@@ -303,20 +305,32 @@ def _require_finite(values) -> None:
             raise OverflowError(_OVERFLOW)
 
 
-def quartic_thresholds(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
+def quartic_thresholds(q: Union[Quartic, QuarticClassification],
+                       tol: Tolerance = DEFAULT_TOL) -> QuarticThresholds:
     """Thresholds on c and d; rationally computable fields stay exact for exact input.
 
+    ``q`` is a Quartic, or a QuarticClassification: a verdict's thresholds are
+    those of its quartic, read off the signs it recorded and the point it was
+    tested on, under its own tolerance (``tol`` is then ignored), with no sign
+    test of their own.
     Exact input is read on its lattice point only, with no Fraction arithmetic.
     Off C0 and the band edges, the d-roots are d - p(x) at the real stationary
     points x of p: three with c strictly inside (C2, C1), else one.
     Raises OverflowError when a float threshold would not be finite.
     """
-    point, lam, sign = _sign_test(Quartic._values(q), _Coeffs, tol)
+    if isinstance(q, QuarticClassification):
+        # every path of _cascade records b and c against C0, and the band
+        # whenever b < 3a^2/8, the only case that reads it below
+        signs = {cmp.name: cmp.sign for cmp in q.comparisons}
+        s_b, s_c0, s_band = signs["b_vs_3a2_over_8"], signs["c_vs_C0"], signs.get("c_band")
+        q, _, point, lam = q._source
+    else:
+        point, lam, sign = _sign_test(Quartic._values(q), _Coeffs, tol)
+        s_b, s_c0, s_band = sign(_b_terms(point)), sign(_c0_terms(point)), sign(_band_terms(point))
     A, B, C = point.d_cubic
     abc = (A, B, C) if lam is None else (
         Fraction(A, lam ** 4), Fraction(B, lam ** 8), Fraction(C, lam ** 12))
     _require_finite(abc)
-    s_b, s_c0, s_band = sign(_b_terms(point)), sign(_c0_terms(point)), sign(_band_terms(point))
     c0, c_hi, c_lo = _c_thresholds(point, lam, s_b)
     d_roots, dag, til = (), None, None
     if s_b == 0 and s_c0 == 0:
@@ -383,7 +397,7 @@ def _closed_form_roots(nature: Nature, q: Quartic, tol: Tolerance, s_c0: int):
 def _stationary_points(qf: Quartic, tol: Tolerance) -> List[float]:
     """The real roots of p' by the Viete formulas (viete_values), descending:
     three when p's discriminant reads >= 0, else one."""
-    kind, payload = viete_values(qf.derivative_monic()[0], tol)
+    kind, payload = viete_values(_Point(3 * qf.a / 4, qf.b / 2, qf.c / 4), tol)
     return list(payload) if kind == "three" else [payload]
 
 
@@ -499,7 +513,8 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
     One tolerance snapshot drives every comparison of a call; with Fraction
     coefficients all decisions are exact.
     """
-    case, comparisons = _recorded(_cascade, _COMPARISONS, Quartic._values(q), _Coeffs, tol)
+    case, comparisons, point, lam = _recorded(
+        _cascade, _COMPARISONS, Quartic._values(q), _Coeffs, tol)
     nature, position = _CASE_TO_NATURE[case]
     closed = None
     if nature in _ZERO_DISC_NATURES:
@@ -513,7 +528,7 @@ def classify_quartic(q: Quartic, tol: Tolerance = DEFAULT_TOL) -> QuarticClassif
         closed_form_roots=closed,
         comparisons=tuple(comparisons),
         eps=tol.eps,
-        _source=(q, tol),
+        _source=(q, tol, point, lam),
     )
 
 
@@ -526,7 +541,7 @@ def _verdict_roots(cls: QuarticClassification) -> Tuple[Optional[RootSet], Optio
         return cls.closed_form_roots, "closed_form"
     if NATURE_STRUCTURE[cls.nature][0] == 0:
         return None, None
-    q, tol = cls._source
+    q, tol, _, _ = cls._source
     qf = q.as_float()
     roots = _bracketed_roots(qf, cls.nature, tol)
     if roots is not None:

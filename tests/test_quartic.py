@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polyclass import (
     solve,
 )
 from polyclass import cubic as cubic_mod
+from polyclass import numeric as numeric_mod
 from polyclass import quartic as quartic_mod
 from polyclass.numeric import MIN_NORMAL, _lattice
 from polyclass.poly import cubic_discriminant_terms
@@ -736,9 +738,10 @@ class TestLazyThresholds:
             cls = classify_quartic(q, tol)
             assert calls == []
             first = cls.thresholds
-            assert calls == [q]
+            # the public function, handed the verdict itself
+            assert len(calls) == 1 and calls[0] is cls
             assert cls.thresholds is first
-            assert calls == [q]
+            assert len(calls) == 1
             assert first == original(q, tol)
 
     def test_not_a_constructor_field(self):
@@ -748,6 +751,44 @@ class TestLazyThresholds:
         cls = classify_quartic(EX1)
         assert "_source" not in repr(cls)
         assert cls == classify_quartic(EX1)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    @pytest.mark.parametrize("tol", [quartic_mod.DEFAULT_TOL, Tolerance(1e-7)],
+                             ids=["default", "1e-7"])
+    @pytest.mark.parametrize("branch", [
+        "b_above", "b_equal_c0", "b_equal_off_c0", "b_below_c0",
+        "c1", "c2", "inside_band", "outside_band",
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(-12, 12), st.integers(1, 12), st.integers(1, 7),
+           st.integers(-16, 16), st.integers(0, 5))
+    def test_verdict_thresholds_are_the_standalone_thresholds(
+            self, branch, tol, exact, a4, t4, u8, d4, pick):
+        # b = 3a^2/8 - 3t^2/8 below, so 3a^2 - 8b = 3t^2 and C1, C2 = C0 +- t^3/8
+        # are rational; the branch places c, and pick sets d on a threshold or off
+        num = Fraction if exact else float
+        a, t, u = Fraction(a4, 4), Fraction(t4, 4), Fraction(u8, 8)
+        b = 3 * a * a / 8 + {"b_above": t * t, "b_equal_c0": 0,
+                             "b_equal_off_c0": 0}.get(branch, -3 * t * t / 8)
+        c0, half = -a ** 3 / 8 + a * b / 2, t ** 3 / 8
+        c = c0 + {"b_above": (pick % 2) * u, "b_equal_off_c0": t, "c1": half, "c2": -half,
+                  "inside_band": (1 - 2 * (pick % 2)) * u * half,
+                  "outside_band": (1 + u) * half}.get(branch, 0)
+        thr0 = quartic_thresholds(Quartic(*map(num, (a, b, c, 0))), tol)
+        at = [*thr0.d_roots, thr0.d_dagger, thr0.d_tilde]
+        d = at[pick] if pick < len(at) and at[pick] is not None else Fraction(d4, 4)
+        q = Quartic(*map(num, (a, b, c, d)))
+        cls = classify_quartic(q, tol)
+
+        def no_sign_test(*args):
+            raise AssertionError("a verdict's thresholds made a sign test")
+
+        with mock.patch.object(Tolerance, "sign_terms", no_sign_test), \
+                mock.patch.object(numeric_mod, "_lattice", no_sign_test), \
+                mock.patch.object(quartic_mod, "_sign_test", no_sign_test):
+            thr = cls.thresholds
+        standalone = quartic_thresholds(q, tol)
+        assert thr == standalone and repr(thr) == repr(standalone)
 
     @pytest.mark.parametrize("k", [84, 90, 100])
     def test_overflowed_thresholds_raise(self, k):

@@ -32,6 +32,7 @@ from polyclass.quartic import (
     QuarticClassification,
     QuarticThresholds,
     _Coeffs,
+    classify_quartic,
 )
 from polyclass.quintic import QuinticCascade, SignChangeSummary
 from polyclass.report import Report
@@ -79,9 +80,9 @@ IDS = [row[0].__name__ for row in RECORDS]
 
 def _build(cls, values):
     """The record of these field values; a QuarticClassification also takes
-    the quartic and tolerance it classified."""
+    the quartic and tolerance it classified, and the point it was tested on."""
     if cls is QuarticClassification:
-        return cls(*values, _source=(EX1, Tolerance()))
+        return cls(*values, _source=classify_quartic(EX1)._source)
     return cls(*values)
 
 
@@ -165,12 +166,21 @@ class TestValidation:
         (((1.0, 0), (2.0, 3)), 0, (0.0, 0.0), "multiplicities must be positive"),
         (((1.0, 1),), 0, (0.0,), r"multiplicities 1 \+ 2\*0 pairs != degree 3"),
         (((2.0, 1), (1.0, 2)), 0, (0.0, 0.0), "roots must be strictly increasing"),
+        # two invariants broken at once: the first in the order above is reported
+        (((1.0, 0),), 0, (), "one residual per root required"),
+        (((2.0, 1), (1.0, 1), (3.0, 0)), 0, (0.0,) * 3, "multiplicities must be positive"),
+        (((2.0, 1), (1.0, 1)), 0, (0.0, 0.0), r"multiplicities 2 \+ 2\*0 pairs != degree 3"),
     ])
     def test_root_set(self, roots, pairs, residuals, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RootSet(roots, pairs, residuals, 3)
         with pytest.raises(ValueError, match=f"^{message}$"):
             RootSet(roots=roots, complex_pairs=pairs, residuals=residuals, degree=3)
+
+    def test_root_set_lets_nan_values_pass(self):
+        # NaN compares False with every value, so no order check can refuse it
+        roots = ((math.nan, 1), (1.0, 1), (math.nan, 1))
+        assert RootSet(roots, 0, (0.0,) * 3, 3).roots == roots
 
     @pytest.mark.parametrize("window", [0, -1.0, math.inf, math.nan])
     def test_nature_target_window(self, window):
@@ -201,9 +211,11 @@ def test_a_record_of_another_type_is_unequal():
 
 
 def test_hidden_source_stays_out_of_equality_and_repr():
-    values = RECORDS[-1][1]
-    one = QuarticClassification(*values, _source=(EX1, Tolerance()))
-    other = QuarticClassification(*values, _source=(Quartic(0.0, 0.0, 0.0, 1.0), Tolerance(1e-3)))
+    # the thresholds read the signs a verdict recorded, so both records carry
+    # EX1's; the other source has the same signs of b - 3a^2/8, c - C0 and the band
+    one = classify_quartic(EX1)
+    source = classify_quartic(Quartic(0.0, -2.0, -0.5, 1.0), Tolerance(1e-3))._source
+    other = QuarticClassification(*one, _source=source)
     assert one == other and hash(one) == hash(other)
     assert "_source" not in repr(one) and "_source" not in one._asdict()
     assert one.thresholds is one.thresholds
